@@ -79,10 +79,15 @@ def default_spec_for_root(curve: HyperCurve, s: int, nodes: int = 512) -> Contou
 
 
 def cauchy_coefficient(f, spec: ContourSpec, k: int) -> complex:
-    """(1/2 pi i) oint f(x)/(x - center)^{k+1} dx by the trapezoid rule."""
+    """(1/2 pi i) oint f(x)/(x - center)^{k+1} dx by the trapezoid rule.
+
+    ``f`` is called once, with the array of all nodes, so it must be
+    numpy-vectorised; a scalar result (a constant integrand) is broadcast
+    over the nodes.
+    """
     thetas = 2.0 * math.pi * np.arange(spec.nodes) / spec.nodes
     ring = np.exp(1j * thetas)
-    vals = np.array([f(spec.center + spec.radius * w) for w in ring])
+    vals = np.broadcast_to(f(spec.center + spec.radius * ring), ring.shape)
     return complex(np.mean(vals * ring ** (-k)) * spec.radius ** (-k))
 
 

@@ -43,7 +43,10 @@ __all__ = [
 #: central charge of the (2,5) minimal model
 CENTRAL_CHARGE_25 = -22.0 / 5.0
 
-MIN_ROOT_DISTANCE = 1e-8
+# nearest pairwise root gap over the largest pairwise root distance at or
+# below which HyperCurve rejects the roots as not distinct; a ratio, so the
+# test is invariant under x -> lambda x
+MIN_ROOT_RATIO = 1e-8
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,9 +91,12 @@ class HyperCurve:
         n = len(self.roots)
         if not 3 <= n <= 8:
             raise ValueError(f"need 3..8 roots, got {n}")
-        for i, j in combinations(range(n), 2):
-            if abs(self.roots[i] - self.roots[j]) <= MIN_ROOT_DISTANCE:
-                raise ValueError(f"roots {i} and {j} closer than {MIN_ROOT_DISTANCE}")
+        gap, i, j = min((abs(self.roots[i] - self.roots[j]), i, j)
+                        for i, j in combinations(range(n), 2))
+        spread = max(abs(a - b) for a, b in combinations(self.roots, 2))
+        if gap <= MIN_ROOT_RATIO * spread:
+            raise ValueError(f"roots {i} and {j} are {gap:.3g} apart, at most "
+                             f"{MIN_ROOT_RATIO:g} of the root spread {spread:.3g}")
 
     @property
     def n(self) -> int:
@@ -430,10 +436,12 @@ def two_point(curve: HyperCurve, params: CorrelatorParams,
           + (7/50)(p1'' <th2> + p2'' <th1>) + (21c/4000) p1'' p2'' Z
           + B(x1, x2)
     odd:  (c/8)(p1 + p2)/d^4 Z + (1/2)(<th1> + <th2>)/d^2 + additive term.
+
+    x1 and x2 may be numpy arrays (a contour's nodes); they broadcast.
     """
     if curve.n != 5:
         raise ValueError("two-point model is the n=5 statement")
-    if x1 == x2:
+    if np.any(x1 == x2):
         raise ValueError("two_point needs distinct arguments")
     c, z = params.c, params.z
     d = x1 - x2

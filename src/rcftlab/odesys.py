@@ -330,10 +330,12 @@ def det3_residual(ubar: complex, p3_bracket: complex, c: float) -> complex:
 def third_value_check(c: float = -22.0 / 5.0) -> float:
     """The extra indicial root of the 3-variable leading system.
 
-    The (3,3) entry of the printed system is ubar - 7/10 for any curve
-    data, so the third value is 7/10 independent of configuration and of c.
+    The leading 3x3 block of the collision matrix has a zero third column
+    above the diagonal, so its indicial roots are the two of
+    indicial_quadratic and the diagonal entry M[2, 2].  That entry carries
+    no bracket and no c; it is read off _matrix5 (at zero brackets).
     """
-    return 0.7
+    return float(_matrix5(CollisionBrackets(0.0, 0.0, 0.0), c)[2, 2].real)
 
 
 # ----------------------------------------------------------------------
@@ -379,21 +381,18 @@ def _circle_waypoints(radius: float, segments: int = 24, center: complex = 0.0):
 
 def euler_monodromy(a_matrix: np.ndarray, radius: float = 0.5,
                     rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
-    """Monodromy of w' = (A/X) w around the origin, integrated columnwise;
-    equals e^{2 pi i A} for constant A."""
+    """Monodromy of w' = (A/X) w around the origin: the fundamental matrix
+    Y' = (A/X) Y, Y = I at the start, integrated in one solve; equals
+    e^{2 pi i A} for constant A."""
     a = np.asarray(a_matrix, dtype=complex)
     n = a.shape[0]
-    cols = []
-    pts = _circle_waypoints(radius)
 
     def rhs(x, y):
-        return a @ y / x
+        return (a @ y.reshape(n, n) / x).ravel()
 
-    for k in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[k] = 1.0
-        cols.append(integrate_path(rhs, e, pts, rtol, atol)["endpoint"])
-    return np.column_stack(cols)
+    y0 = np.eye(n, dtype=complex).ravel()
+    end = integrate_path(rhs, y0, _circle_waypoints(radius), rtol, atol)["endpoint"]
+    return end.reshape(n, n)
 
 
 def monodromy_collision(c: float = -22.0 / 5.0, radius: float = 0.5) -> dict:

@@ -43,6 +43,11 @@ class TestCauchy:
         val = cauchy_coefficient(lambda x: (x - c0) ** 3, spec, 3)
         assert val == pytest.approx(1.0, abs=1e-13)
 
+    def test_constant_integrand(self):
+        spec = ContourSpec(0.3 + 0.8j, 0.7)
+        assert cauchy_coefficient(lambda x: 2.0, spec, 0) == pytest.approx(2.0, abs=1e-14)
+        assert abs(cauchy_coefficient(lambda x: 2.0, spec, 1)) < 1e-14
+
     def test_negative_order_of_simple_pole(self):
         c0 = -0.2 + 0.1j
         spec = ContourSpec(c0, 0.5)

@@ -88,6 +88,11 @@ class TestHyperCurve:
     def test_rejects_near_collision(self):
         with pytest.raises(ValueError):
             HyperCurve(1.0, [0, 1e-9, 1.0, 2.0, 3.0])
+        # the guard is relative to the root spread: a unit-spaced shape at
+        # scale 1e-9 is a curve, a 1e-5 gap at scale 1e3 is a collision
+        HyperCurve(1.0, [0, 1e-9, 2e-9, 3e-9, 5e-9])
+        with pytest.raises(ValueError):
+            HyperCurve(1.0, [0, 1e3, 1e3 + 1e-5, 2e3, 3e3])
 
     def test_json_round_trip(self, curve):
         c2 = HyperCurve.from_json(curve.to_json())
@@ -258,6 +263,21 @@ class TestTwoPoint:
     def test_coincident_rejected(self, curve, params):
         with pytest.raises(ValueError):
             two_point(curve, params, 0.3, 0.3)
+
+    def test_node_array_matches_scalar_calls(self, curve, params):
+        x2 = curve.roots[1]
+        xs = x2 + 0.2 * np.exp(2j * np.pi * np.arange(512) / 512)
+        tp = two_point(curve, params, xs, x2)
+        ref = [two_point(curve, params, complex(x), x2) for x in xs]
+        even = np.array([r.even for r in ref])
+        odd = np.array([r.odd_coeff for r in ref])
+        assert np.abs(tp.even - even).max() < 1e-13 * np.abs(even).max()
+        assert np.abs(tp.odd_coeff - odd).max() < 1e-13 * np.abs(odd).max()
+
+    def test_coincident_node_in_array_rejected(self, curve, params):
+        xs = np.array([0.1 + 0.2j, 0.3, -0.4j])
+        with pytest.raises(ValueError, match="distinct"):
+            two_point(curve, params, xs, 0.3)
 
     def test_c_zero_trivial(self, curve):
         pz = CorrelatorParams.make(curve, 1.0, [0, 0, 0], 0.0, c=0.0)

@@ -252,6 +252,12 @@ class TestIntegratePath:
         mon = euler_monodromy(a, radius=0.7)
         assert np.abs(mon - expm(2j * np.pi * a)).max() < 1e-8
 
+    def test_euler_model_monodromy_5x5(self):
+        rng = np.random.default_rng(19)
+        a = 0.15 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        mon = euler_monodromy(a, radius=0.7)
+        assert np.abs(mon - expm(2j * np.pi * a)).max() < 1e-8
+
     def test_euler_monodromy_radius_sweep(self):
         a = np.array([[0.25, 0.5], [0.1, -0.3]], dtype=complex)
         ref = expm(2j * np.pi * a)

@@ -145,7 +145,7 @@ class HyperCurve:
             return 0j
         xs = self.roots[s]
         w = [1.0 / (xs - r) for i, r in enumerate(self.roots) if i != s]
-        ek = _elementary_symmetric(w, k - 1)
+        ek = _elementary_symmetric(w, k - 1)[k - 1]
         return math.factorial(k) * self.p_prime_at_root(s) * ek
 
     def y(self, x: complex, sheet: int = +1) -> complex:
@@ -179,14 +179,13 @@ class HyperCurve:
         return cls(complex(*obj["a0"]), [complex(re, im) for re, im in obj["roots"]])
 
 
-def _elementary_symmetric(values, k: int) -> complex:
-    if k == 0:
-        return 1.0 + 0j
-    e = np.zeros(k + 1, dtype=complex)
+def _elementary_symmetric(values, m: int) -> list[complex]:
+    """[e_0, ..., e_m] of the values, by the product recurrence."""
+    e = np.zeros(m + 1, dtype=complex)
     e[0] = 1.0
     for v in values:
-        e[1:k + 1] = e[1:k + 1] + v * e[0:k]
-    return complex(e[k])
+        e[1:] = e[1:] + v * e[:-1]
+    return e.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .curve import CorrelatorParams, HyperCurve, omega_s, vartheta
+from .curve import CorrelatorParams, HyperCurve, _elementary_symmetric, omega_s, vartheta
 from .qspecial import ModularPoint, eta_numeric, rr_numeric
 
 __all__ = [
@@ -217,11 +217,7 @@ def collision_brackets(spectators, xs: complex = 0.0) -> CollisionBrackets:
     reciprocals that fail to cancel.
     """
     m = len(spectators)
-    e = [1.0] + [0.0] * m  # elementary symmetric polynomials of the d_i
-    for r in spectators:
-        d = xs - r
-        for k in range(m, 0, -1):
-            e[k] += e[k - 1] * d
+    e = _elementary_symmetric([xs - r for r in spectators], m)
     sigma1 = e[m - 1] / e[m]
     e2 = e[m - 2] / e[m] if m >= 2 else 0.0
     p3 = 48.0 * sigma1
@@ -342,35 +338,29 @@ def third_value_check(c: float = -22.0 / 5.0) -> float:
 # path integration and monodromy
 # ----------------------------------------------------------------------
 
-def integrate_path(rhs, y0, waypoints, rtol: float = 1e-10, atol: float = 1e-12,
-                   dense_per_segment: int = 16) -> dict:
+def integrate_path(rhs, y0, waypoints, rtol: float = 1e-10, atol: float = 1e-12) -> dict:
     """Integrate dy/dX = rhs(X, y) along a polygonal path of waypoints.
 
     Each straight segment is parameterized linearly and stepped with an
-    adaptive embedded Runge-Kutta pair at the requested local error;
-    dense samples are read off the solver interpolant.  Returns the
-    endpoint state and the sampled trajectory.
+    adaptive embedded Runge-Kutta pair at the requested local error.
+    Returns the endpoint state.
     """
     pts = [complex(w) for w in waypoints]
     if len(pts) < 2:
         raise ValueError("need at least two waypoints")
     y = np.asarray(y0, dtype=complex)
-    samples = [(pts[0], y.copy())]
     for a, b in zip(pts, pts[1:]):
         seg = b - a
 
         def f(t, yy):
             return np.asarray(rhs(a + t * seg, yy), dtype=complex) * seg
 
-        sol = solve_ivp(f, (0.0, 1.0), y, method="RK45", rtol=rtol, atol=atol,
-                        dense_output=True)
+        sol = solve_ivp(f, (0.0, 1.0), y, method="RK45", rtol=rtol, atol=atol)
         if not sol.success:
             raise RuntimeError(f"integration failed on segment {a} -> {b}: "
                                f"{sol.message}")
-        for t in np.linspace(0.0, 1.0, dense_per_segment + 1)[1:]:
-            samples.append((a + t * seg, sol.sol(t).astype(complex)))
         y = sol.y[:, -1].astype(complex)
-    return {"endpoint": y, "trajectory": samples}
+    return {"endpoint": y}
 
 
 def _circle_waypoints(radius: float, segments: int = 24, center: complex = 0.0):

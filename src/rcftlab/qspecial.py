@@ -4,9 +4,11 @@ q-Pochhammer, Dedekind eta, Jacobi theta constants, Eisenstein series with
 the zeta-normalized companions G_k = zeta(k) E_k, the Serre derivative,
 the two (2,5)-model characters, and Weierstrass half-period values.
 
-Series are exact-order objects from :mod:`rcftlab.series`; numeric
-evaluation at a point uses adaptive summation with an Im(tau) >= 0.8
-convergence guard.
+Series are exact-order objects from :mod:`rcftlab.series`.  One kernel per
+object (theta, Eisenstein, half periods) serves complex128 here and mpmath
+in :mod:`rcftlab.sewing` under one stopping rule, digits = 16 or dps: a theta
+sum stops at a shell past n = 1 below 10^-digits of the sum, an Eisenstein
+sum at a term below 10^-(digits+1) of it.  Float functions guard Im tau >= 0.8.
 
 A documentation note on two displays that the implementation does not
 reproduce (both recorded in the verification suites as flagged cases
@@ -24,8 +26,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
-import numpy as np
+import mpmath as mp
 
 from .series import SeriesError, TruncatedSeries
 
@@ -138,15 +141,29 @@ def eisenstein_series(k: int, order: int) -> TruncatedSeries:
     """
     if k not in _EIS_COEF:
         raise ValueError(f"unsupported Eisenstein weight {k}")
-    coef = _EIS_COEF[k]
+    sig = _divisor_sigma(k - 1, order)
     terms = {0: 1.0}
-    sig = np.zeros(order, dtype=float)
-    for d in range(1, order):
-        for m in range(d, order, d):
-            sig[m] += d ** (k - 1)
     for m in range(1, order):
-        terms[m] = coef * sig[m]
+        terms[m] = _EIS_COEF[k] * sig[m]
     return TruncatedSeries.from_dict(1, terms, order)
+
+
+_SIGMA: dict[int, tuple[int, ...]] = {}
+
+
+def _divisor_sigma(power: int, length: int) -> tuple[int, ...]:
+    """sigma_power(m) for 0 <= m < length or more (sigma(0) = 0), by sieve, as
+    exact Python ints so the sums built on it stay in the arithmetic of their q.
+    One table per power in _SIGMA, grown on demand."""
+    sig = _SIGMA.get(power, ())
+    if len(sig) < length:
+        table = [0] * length
+        for d in range(1, length):
+            dp = d ** power
+            for m in range(d, length, d):
+                table[m] += dp
+        sig = _SIGMA[power] = tuple(table)
+    return sig
 
 
 def serre_derivative(f: TruncatedSeries, weight) -> TruncatedSeries:
@@ -232,31 +249,76 @@ def jacobi_identity_residual(order: int) -> TruncatedSeries:
 # numeric evaluation
 # ----------------------------------------------------------------------
 
-def theta_numeric(i: int, point: ModularPoint, deriv: int = 0) -> complex:
-    """theta_i(0 | tau), or its deriv-th derivative with respect to tau.
+#: complex128 stand-in for the mpmath context ``mp.mp``.  Each kernel takes dps
+#: last: None sums in complex128 (16 digits), k in mpmath at k digits, entering
+#: mp.workdps(k) unless it already runs at k digits (the float path enters none).
+_FLOAT = SimpleNamespace(mpmathify=complex, mpf=float, exp=cmath.exp, pi=cmath.pi)
 
-    Summed over the integer index with adaptive cutoff: stop once the last
-    term falls below 1e-16 of the partial sum.
-    """
-    point.require_convergent()
-    a = {2: 0.5, 3: 0.0, 4: 0.0}[i]
-    b = {2: 0.0, 3: 0.0, 4: 0.5}[i]
-    tau = point.tau
+
+def _theta_sum(i, tau, deriv, dps):
+    """theta_i(0 | tau) or its deriv-th tau-derivative: shells m = 0, +-1,
+    ... of e^{2 pi i (e tau + (m+a) b)} (2 pi i e)^deriv, e = (m+a)^2/2."""
+    if dps is not None and mp.mp.dps != dps:
+        with mp.workdps(dps):
+            return _theta_sum(i, tau, deriv, dps)
+    ctx = _FLOAT if dps is None else mp.mp
+    a, b = {2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}[i]
+    tau, exp, pi = ctx.mpmathify(tau), ctx.exp, ctx.pi
+    tol = ctx.mpf(10) ** -(dps or 16)
     total = 0j
     n = 0
     while True:
         shell = 0j
         for m in ((n,) if n == 0 else (n, -n)):
             e = (m + a) ** 2 / 2.0
-            term = cmath.exp(2j * cmath.pi * (e * tau + (m + a) * b))
-            shell += (2j * cmath.pi * e) ** deriv * term
+            term = exp(2j * pi * (e * tau + (m + a) * b))
+            shell += (2j * pi * e) ** deriv * term
         total += shell
-        if n > 1 and abs(shell) < 1e-16 * max(abs(total), 1e-300):
-            break
+        if n > 1 and abs(shell) < tol * max(abs(total), 1e-300):
+            return total
         if n > 600:
             raise ValueError("theta sum did not converge")
         n += 1
-    return total
+
+
+def _eisenstein_sum(k, tau, dps):
+    """E_k(tau) = 1 + coef sum sigma_{k-1}(n) q^n for k in {2, 4, 6}."""
+    if dps is not None and mp.mp.dps != dps:
+        with mp.workdps(dps):
+            return _eisenstein_sum(k, tau, dps)
+    ctx = _FLOAT if dps is None else mp.mp
+    tau = ctx.mpmathify(tau)
+    if tau.imag <= 0:
+        raise ValueError(f"Eisenstein sum needs Im tau > 0, got {complex(tau)}")
+    digits = dps or 16
+    q = ctx.exp(2j * ctx.pi * tau)
+    tol = ctx.mpf(10) ** -(digits + 1)
+    # past this a-priori length |q|^{n/2} < 10^-(2 digits + 4): |q|^{n/2} absorbs
+    # sigma_{k-1}(n), with room for a sum cancelled to 10^-digits (E4 at rho)
+    length = math.ceil((2 * digits + 4) * math.log(10) / (math.pi * float(tau.imag)))
+    sig = _divisor_sigma(k - 1, length + 1)
+    total = 1.0 + 0j
+    for n in range(1, length + 1):
+        t = _EIS_COEF[k] * sig[n] * q ** n
+        total += t
+        if abs(t) < tol * abs(total):
+            return total
+    raise ValueError(f"Eisenstein sum did not converge in {length} terms")
+
+
+def _half_periods(tau, dps):
+    """(xi0, xi1, xi2) and (theta2^4, theta3^4, theta4^4); see weierstrass_e_values."""
+    if dps is not None and mp.mp.dps != dps:
+        with mp.workdps(dps):
+            return _half_periods(tau, dps)
+    t2, t3, t4 = (_theta_sum(i, tau, 0, dps) ** 4 for i in (2, 3, 4))
+    return ((t4 - t2) / 12.0, (t2 + t3) / 12.0, (-t3 - t4) / 12.0), (t2, t3, t4)
+
+
+def theta_numeric(i: int, point: ModularPoint, deriv: int = 0) -> complex:
+    """theta_i(0 | tau), or its deriv-th derivative with respect to tau."""
+    point.require_convergent()
+    return _theta_sum(i, point.tau, deriv, None)
 
 
 def eta_numeric(point: ModularPoint) -> complex:
@@ -277,19 +339,7 @@ def eisenstein_numeric(k: int, point: ModularPoint) -> complex:
     point.require_convergent()
     if k not in _EIS_COEF:
         raise ValueError(f"unsupported Eisenstein weight {k}")
-    q = point.q
-    total = 1.0 + 0j
-    n = 1
-    while True:
-        sig = sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
-        t = _EIS_COEF[k] * sig * q ** n
-        total += t
-        if abs(t) < 1e-17 * abs(total):
-            break
-        n += 1
-        if n > 4000:
-            raise ValueError("Eisenstein sum did not converge")
-    return total
+    return _eisenstein_sum(k, point.tau, None)
 
 
 def rr_numeric(variant: str, point: ModularPoint) -> complex:
@@ -323,10 +373,8 @@ def weierstrass_e_values(point: ModularPoint) -> tuple[complex, complex, complex
     xi1 = (theta2^4 + theta3^4)/12, xi0 = (-theta2^4 + theta4^4)/12,
     xi2 = -(theta3^4 + theta4^4)/12; they sum to zero.
     """
-    t2 = theta_numeric(2, point) ** 4
-    t3 = theta_numeric(3, point) ** 4
-    t4 = theta_numeric(4, point) ** 4
-    return (t4 - t2) / 12.0, (t2 + t3) / 12.0, (-t3 - t4) / 12.0
+    point.require_convergent()
+    return _half_periods(point.tau, None)[0]
 
 
 def e_cubic_residual(point: ModularPoint) -> float:

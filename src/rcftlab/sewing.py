@@ -28,6 +28,7 @@ from typing import Callable
 
 import mpmath as mp
 
+from .qspecial import _eisenstein_sum, _half_periods, _theta_sum
 from .series import order_fit
 
 __all__ = [
@@ -58,16 +59,14 @@ DEFAULT_DPS = 40
 #: leading ones (used by the coordinate-residual suites)
 EQUIANHARMONIC_TAU = complex(0.5, math.sqrt(3) / 2)
 
-_HALF = mp.mpf(1) / 2
-
 #: characteristics [a; b] realizing the six two-torus products, a.b = 0
 _PAIR_CHARS = {
     (3, 3): ((0, 0), (0, 0)),
-    (2, 3): ((_HALF, 0), (0, 0)),
-    (3, 2): ((0, _HALF), (0, 0)),
-    (2, 4): ((_HALF, 0), (0, _HALF)),
-    (3, 4): ((0, 0), (0, _HALF)),
-    (2, 2): ((_HALF, _HALF), (0, 0)),
+    (2, 3): ((0.5, 0), (0, 0)),
+    (3, 2): ((0, 0.5), (0, 0)),
+    (2, 4): ((0.5, 0), (0, 0.5)),
+    (3, 4): ((0, 0), (0, 0.5)),
+    (2, 2): ((0.5, 0.5), (0, 0)),
 }
 
 
@@ -82,8 +81,11 @@ class SewInput:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if complex(self.tau1).imag <= 0 or complex(self.tau2).imag <= 0:
+        t1, t2 = complex(self.tau1).imag, complex(self.tau2).imag
+        if t1 <= 0 or t2 <= 0:
             raise ValueError("both moduli need positive imaginary part")
+        if self.nu is not None and t1 * t2 <= complex(self.nu).imag ** 2:
+            raise ValueError("Im Omega not positive definite: Im tau1 Im tau2 <= (Im nu)^2")
         # |nu| <= 0.1 is the documented validity range of expansion mode;
         # direct mode works beyond it and the bound is not enforced here
 
@@ -141,33 +143,17 @@ class RamificationSet:
 
 
 # ----------------------------------------------------------------------
-# genus-1 theta constants and modulus derivatives (mpmath)
+# genus-1 theta constants and modulus derivatives (qspecial's kernels in mpmath)
 # ----------------------------------------------------------------------
-
-def _sum_cutoff(im_tau: float, dps: int, margin: float = 0.0) -> int:
-    im_eff = im_tau - margin
-    if im_eff <= 0:
-        raise ValueError("period matrix not positive definite enough for the sum")
-    n = math.sqrt((dps + 8) * math.log(10) / (math.pi * im_eff)) + 1.5
-    return max(int(math.ceil(n)), 6)
-
 
 def theta_char_1d(i: int, tau, deriv: int = 0, dps: int = DEFAULT_DPS):
     """theta_i(0 | tau) or its modulus derivative d^k/dtau^k, in mpmath.
 
     Each term q^e picks up (2 pi i e)^k under differentiation.
     """
-    with mp.workdps(dps):
-        tau = mp.mpmathify(tau)
-        a = {2: _HALF, 3: mp.mpf(0), 4: mp.mpf(0)}[i]
-        b = {2: mp.mpf(0), 3: mp.mpf(0), 4: _HALF}[i]
-        N = _sum_cutoff(float(tau.imag), dps)
-        total = mp.mpc(0)
-        for n in range(-N, N + 1):
-            e = (n + a) ** 2 / 2
-            term = mp.e ** (2j * mp.pi * (e * tau + (n + a) * b))
-            total += (2j * mp.pi * e) ** deriv * term
-        return total
+    if complex(tau).imag <= 0:
+        raise ValueError(f"theta needs Im tau > 0, got {complex(tau)}")
+    return _theta_sum(i, tau, deriv, dps)
 
 
 def theta_pair_chars(pair: tuple[int, int]):
@@ -192,9 +178,12 @@ def siegel_theta_direct(inp: SewInput, a, b, cutoff: int | None = None,
         nu = mp.mpmathify(inp.nu)
         a0, a1 = mp.mpmathify(a[0]), mp.mpmathify(a[1])
         b0, b1 = mp.mpmathify(b[0]), mp.mpmathify(b[1])
-        im_min = min(float(t1.imag), float(t2.imag))
-        N = cutoff if cutoff is not None else max(
-            10, _sum_cutoff(im_min, dps, margin=2.0 * abs(complex(inp.nu))))
+        N = cutoff
+        if N is None:
+            im_eff = min(float(t1.imag), float(t2.imag)) - 2.0 * abs(complex(inp.nu))
+            if im_eff <= 0:
+                raise ValueError("period matrix not positive definite enough for the sum")
+            N = max(10, math.ceil(math.sqrt((dps + 8) * math.log(10) / (math.pi * im_eff)) + 1.5))
         total = mp.mpc(0)
         shell_last = mp.mpf(0)
         for s in range(N + 1):
@@ -268,7 +257,7 @@ def ramification_points(inp: SewInput, dps: int = DEFAULT_DPS) -> RamificationSe
     nu = 0 is degenerate (all three collapse onto b0) and is flagged.
     """
     with mp.workdps(dps):
-        b0 = theta_char_1d(3, inp.tau1, 0, dps) ** 4 / theta_char_1d(2, inp.tau1, 0, dps) ** 4
+        b0 = _theta_sum(3, inp.tau1, 0, dps) ** 4 / _theta_sum(2, inp.tau1, 0, dps) ** 4
         if inp.nu is None or inp.nu == 0:
             b0c = complex(b0)
             return RamificationSet(b0c, b0c, b0c, b0c, 0.0, degenerate=True)
@@ -287,10 +276,8 @@ def x3_minus_x4_leading(inp: SewInput, dps: int = DEFAULT_DPS) -> complex:
     (theta3^4/theta2^4)(O11) nu^2 (pi^2/4) theta4^4(O11) theta2^4(O22)."""
     with mp.workdps(dps):
         nu = mp.mpmathify(inp.nu)
-        t2a = theta_char_1d(2, inp.tau1, 0, dps) ** 4
-        t3a = theta_char_1d(3, inp.tau1, 0, dps) ** 4
-        t4a = theta_char_1d(4, inp.tau1, 0, dps) ** 4
-        t2b = theta_char_1d(2, inp.tau2, 0, dps) ** 4
+        _, (t2a, t3a, t4a) = _half_periods(inp.tau1, dps)
+        t2b = _theta_sum(2, inp.tau2, 0, dps) ** 4
         return complex(t3a / t2a * nu ** 2 * (mp.pi ** 2 / 4) * t4a * t2b)
 
 
@@ -327,24 +314,6 @@ def mode_agreement_orderfit(tau1, tau2, nus, dps: int = DEFAULT_DPS):
 # Weierstrass wp for the lattice 2 pi i (Z + tau Z)
 # ----------------------------------------------------------------------
 
-def _eisenstein_mp(k: int, tau, dps: int):
-    coef = {4: 240, 6: -504}[k]
-    with mp.workdps(dps):
-        q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
-        total = mp.mpc(1)
-        n = 1
-        while True:
-            sig = sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
-            t = coef * sig * q ** n
-            total += t
-            if abs(t) < mp.mpf(10) ** (-dps - 6):
-                break
-            n += 1
-            if n > 20000:
-                raise ValueError("Eisenstein sum did not converge")
-        return total
-
-
 def wp_coeffs(tau, nterms: int = 14, dps: int = DEFAULT_DPS) -> list:
     """Laurent data of wp: z^2 wp(z) = 1 + sum_m c[m] z^{2m+2}.
 
@@ -353,8 +322,8 @@ def wp_coeffs(tau, nterms: int = 14, dps: int = DEFAULT_DPS) -> list:
     """
     with mp.workdps(dps):
         c = [mp.mpc(0)] * (nterms + 1)
-        c[1] = _eisenstein_mp(4, tau, dps) / 240
-        c[2] = -_eisenstein_mp(6, tau, dps) / 6048
+        c[1] = _eisenstein_sum(4, tau, dps) / 240
+        c[2] = -_eisenstein_sum(6, tau, dps) / 6048
         for k in range(3, nterms + 1):
             acc = mp.mpc(0)
             for m in range(1, k - 1):
@@ -411,8 +380,8 @@ def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
                 w4 = w ** -4
                 s4 += w4
                 s6 += w4 / w / w
-        s4_full = _eisenstein_mp(4, tau, dps) / 720
-        s6_full = -_eisenstein_mp(6, tau, dps) / 30240
+        s4_full = _eisenstein_sum(4, tau, dps) / 720
+        s6_full = -_eisenstein_sum(6, tau, dps) / 30240
         total += 3 * z ** 2 * (s4_full - s4) + 5 * z ** 4 * (s6_full - s6)
         return total
 
@@ -473,13 +442,6 @@ def coords_residual(inp: SewInput, z, dps: int = DEFAULT_DPS) -> float:
 # linear fractional image of the far ramification points
 # ----------------------------------------------------------------------
 
-def _half_period_values(tau, dps):
-    t2 = theta_char_1d(2, tau, 0, dps) ** 4
-    t3 = theta_char_1d(3, tau, 0, dps) ** 4
-    t4 = theta_char_1d(4, tau, 0, dps) ** 4
-    return ((t4 - t2) / 12, (t2 + t3) / 12, (-t3 - t4) / 12), (t2, t3, t4)
-
-
 def lft_image_check(inp: SewInput, k_hat: int = 0, dps: int = DEFAULT_DPS) -> dict:
     """Moebius map sending X0, X1, X2 to 0, 1, infinity, applied to
     1/(eps^2 X-hat_k), against the quoted expansion
@@ -497,8 +459,8 @@ def lft_image_check(inp: SewInput, k_hat: int = 0, dps: int = DEFAULT_DPS) -> di
         c2 = wp_coeffs(inp.tau2, dps=dps)
         at = (c1[1], c1[2])
         am = (c2[1], c2[2])
-        (xi0, xi1, xi2), (t2, t3, t4) = _half_period_values(inp.tau1, dps)
-        (xh0, xh1, xh2), _ = _half_period_values(inp.tau2, dps)
+        (xi0, xi1, xi2), (t2, t3, t4) = _half_periods(inp.tau1, dps)
+        (xh0, xh1, xh2), _ = _half_periods(inp.tau2, dps)
         amc = (am[0] * e ** 4, am[1] * e ** 6)
         atc = (at[0] * e ** 4, at[1] * e ** 6)
         X0 = xi0 / _coord_factor(xi0, amc, at)

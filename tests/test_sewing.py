@@ -31,6 +31,15 @@ TAU = 1.5j
 NU_GRID = (1e-2, 3e-3, 1e-3)
 
 
+def test_sew_input_rejects_indefinite_im_omega():
+    # Im Omega = [[1.5, 2], [2, 1.5]] has determinant -1.75
+    with pytest.raises(ValueError, match="positive definite"):
+        SewInput(1.5j, 1.5j, nu=2j)
+    with pytest.raises(ValueError, match="positive definite"):
+        SewInput(1.5j, 1.5j, nu=1.5j)  # determinant 0
+    SewInput(1.5j, 1.5j, nu=0.3 + 1.4j)  # determinant 0.29 > 0
+
+
 def test_char_theta_orthogonality_enforced():
     with pytest.raises(ValueError):
         CharTheta((0.5, 0), (0.5, 0), 1.0)

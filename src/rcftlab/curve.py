@@ -129,7 +129,12 @@ class HyperCurve:
         return _poly_eval(self._dpolys[k], x)
 
     def p_prime_at_root(self, s: int) -> complex:
-        """p'(X_s) = a0 prod_{i != s} (X_s - X_i), as an exact product."""
+        """p'(X_s) = a0 prod_{i != s} (X_s - X_i), as an exact product.
+
+        dp_at_root and odesys.exact_matrix read X_s through here, so this
+        is where an index outside 0 <= s < n is rejected."""
+        if not 0 <= s < self.n:
+            raise ValueError(f"root index {s} out of range")
         xs = self.roots[s]
         out = self.a0 + 0j
         for i, r in enumerate(self.roots):
@@ -137,16 +142,24 @@ class HyperCurve:
                 out *= (xs - r)
         return out
 
-    def dp_at_root(self, s: int, k: int) -> complex:
-        """p^(k)(X_s) = k! p'(X_s) e_{k-1}(1/(X_s - X_i)), exact sum form."""
-        if k == 0:
-            return 0j
-        if k > self.n:
-            return 0j
+    def _root_derivatives(self, s: int) -> list[complex]:
+        """[p(X_s), p'(X_s), ..., p^(n)(X_s)] in one pass over the spectator
+        differences: p^(k)(X_s) = k! p'(X_s) e_{k-1}(1/(X_s - X_i)).  Builds
+        neither poly nor _dpolys, so a curve made for one evaluation stays
+        cheap."""
+        p1 = self.p_prime_at_root(s)
         xs = self.roots[s]
         w = [1.0 / (xs - r) for i, r in enumerate(self.roots) if i != s]
-        ek = _elementary_symmetric(w, k - 1)[k - 1]
-        return math.factorial(k) * self.p_prime_at_root(s) * ek
+        e = _elementary_symmetric(w, self.n - 1)
+        return [0j] + [math.factorial(k) * p1 * e[k - 1]
+                       for k in range(1, self.n + 1)]
+
+    def dp_at_root(self, s: int, k: int) -> complex:
+        """p^(k)(X_s) = k! p'(X_s) e_{k-1}(1/(X_s - X_i)), exact sum form."""
+        if k < 0:
+            raise ValueError(f"derivative order {k} is negative")
+        derivs = self._root_derivatives(s)
+        return derivs[k] if k <= self.n else 0j
 
     def y(self, x: complex, sheet: int = +1) -> complex:
         """Principal square root of p(x) with an explicit sheet sign."""

@@ -6,6 +6,11 @@ systems with their Frobenius/indicial analysis, numeric path integration
 and monodromy, the Fibonacci equation count, and twist-exponent
 arithmetic.
 
+The exact system is one 5x5 matrix, exact_matrix, which holds each of its
+coefficients once; exact_rhs applies it to a state.  The printed collision
+system is one matrix too, _matrix5: leading_matrix_2, leading_matrix_5,
+det3_residual and third_value_check all read it.
+
 Conventions for the 5x5 collision matrix: the printed eigenvalue system
 (ubar I - M) v = 0 is taken as normative; its three bracket inputs are
 configuration data supplied by the caller (the text itself notes they are
@@ -45,6 +50,7 @@ __all__ = [
     "ExactState5",
     "IndicialData",
     "CollisionBrackets",
+    "exact_matrix",
     "exact_rhs",
     "exact_corollary_residual",
     "indicial_quadratic",
@@ -70,7 +76,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 # nearest-root gap over the largest root distance at X_s below which
-# exact_rhs treats the configuration as a collision (a regime choice)
+# exact_matrix treats the configuration as a collision (a regime choice)
 COLLISION_RATIO = 1e-4
 
 
@@ -93,14 +99,19 @@ class ExactState5:
         return cls(*map(complex, a))
 
 
-def exact_rhs(curve: HyperCurve, s: int, state: ExactState5,
-              c: float = -22.0 / 5.0) -> ExactState5:
-    """Full derivative d(state)/dX_s of the exact n = 5 system, xi_s = 1.
+def exact_matrix(curve: HyperCurve, s: int, c: float = -22.0 / 5.0) -> np.ndarray:
+    """A with d(state)/dX_s = A state for the exact n = 5 system, xi_s = 1.
 
-    Assembled from the covariant rows (D_s = d_{X_s} - (c/8) omega_s acting
-    before evaluation at x = X_s) plus the Taylor transport terms
-    <theta^{(k+1)}> that convert them to derivatives of the evaluated
-    state; <theta'''> is supplied by the n = 5 law -(3c/80) p^(5) <1>.
+    State order (<1>, <theta>, <theta'>, <theta''>, B~).  Each row is the
+    covariant row (D_s = d_{X_s} - (c/8) omega_s acting before evaluation
+    at x = X_s) plus the Taylor transport term <theta^{(k+1)}> that turns it
+    into a derivative of the evaluated state: the +1 on the superdiagonal
+    of rows 1 and 2 (covariant -7/10 and -3/10 become 3/10 and 7/10), and
+    in row 3 <theta'''> = -(3c/80) p^(5) <1> by the n = 5 law.  The
+    p^(k)(X_s) come from the spectator differences alone.
+
+    Under X -> lambda X (a0 fixed) entry (i, j) scales as
+    lambda^(w_i - w_j - 1) with weights w = (0, 3, 2, 1, 4).
 
     Raises ValueError at a root collision: when the nearest-root gap at X_s
     is below COLLISION_RATIO times the largest distance from X_s to another
@@ -111,41 +122,34 @@ def exact_rhs(curve: HyperCurve, s: int, state: ExactState5,
     """
     if curve.n != 5:
         raise ValueError("exact system is the n=5 statement")
+    _, p1, p2, p3, p4, p5 = curve._root_derivatives(s)
     xs = curve.roots[s]
     gaps = [abs(r - xs) for i, r in enumerate(curve.roots) if i != s]
     ratio = min(gaps) / max(gaps)
     if ratio < COLLISION_RATIO:
         raise ValueError(f"root collision: nearest/farthest root gap ratio "
                          f"{ratio:.3g} at X_s is below {COLLISION_RATIO:g}")
-    p1 = curve.p_prime_at_root(s)
-    p2, p3, p4, p5 = (curve.dp(xs, k) for k in (2, 3, 4, 5))
-    om = omega_s(curve, s)
-    sp = p3 / p1 - 1.5 * (p2 / p1) ** 2
-    z, th, th1, th2, bt = state.z, state.th, state.th1, state.th2, state.bt
-    th3 = -(3.0 * c / 80.0) * p5 * z
-    cw = c / 8.0 * om
+    cw = c / 8.0 * omega_s(curve, s)
+    q2, q3 = p2 / p1, p3 / p1
+    return np.array([
+        [cw, 2.0 / p1, 0.0, 0.0, 0.0],
+        [-(7.0 * c / 480.0) * p1 * (q3 - 1.5 * q2 ** 2), cw + 0.9 * q2, 0.3,
+         0.0, 0.0],
+        [(c / 480.0) * (7.0 * p2 * p3 / p1 - p4), (11.0 / 30.0) * q3,
+         cw + 0.35 * q2, 0.7, 0.0],
+        [(7.0 * c / 1920.0 - 3.0 * c / 80.0) * p5, 0.0, 0.0, cw, 2.0 / p1],
+        [(c / 32000.0) * p2 * p5 + (c / 960.0) * p3 * p4,
+         (111.0 / 2000.0 - c / 384.0) * p5, 0.025 * p4,
+         (11.0 / 400.0 - 7.0 * c / 960.0) * p3 + (7.0 * c / 640.0) * p2 ** 2 / p1,
+         cw + 0.9 * q2],
+    ], dtype=complex)
 
-    dz = cw * z + 2.0 / p1 * th
-    dth = (cw * th
-           - (7.0 * c / 480.0) * p1 * sp * z
-           + 0.9 * (p2 / p1) * th
-           - 0.7 * th1) + th1
-    dth1 = (cw * th1
-            + (c / 480.0) * (7.0 * p2 * p3 / p1 - p4) * z
-            + (11.0 / 30.0) * (p3 / p1) * th
-            + 0.35 * (p2 / p1) * th1
-            - 0.3 * th2) + th2
-    dth2 = (cw * th2
-            + 2.0 / p1 * bt
-            + (7.0 * c / 1920.0) * p5 * z) + th3
-    dbt = (cw * bt
-           + ((c / 32000.0) * p2 * p5 + (c / 960.0) * p3 * p4) * z
-           + (111.0 / 2000.0 - c / 384.0) * p5 * th
-           + 0.025 * p4 * th1
-           + ((11.0 / 400.0 - 7.0 * c / 960.0) * p3
-              + (7.0 * c / 640.0) * p2 ** 2 / p1) * th2
-           + 0.9 * (p2 / p1) * bt)
-    return ExactState5(dz, dth, dth1, dth2, dbt)
+
+def exact_rhs(curve: HyperCurve, s: int, state: ExactState5,
+              c: float = -22.0 / 5.0) -> ExactState5:
+    """Full derivative d(state)/dX_s of the exact n = 5 system, xi_s = 1:
+    exact_matrix(curve, s, c) applied to the state."""
+    return ExactState5.from_array(exact_matrix(curve, s, c) @ state.as_array())
 
 
 def exact_corollary_residual(curve: HyperCurve, s: int, state: ExactState5,
@@ -226,9 +230,9 @@ def collision_brackets(spectators, xs: complex = 0.0) -> CollisionBrackets:
 
 def leading_matrix_2(c: float) -> np.ndarray:
     """Euler-form matrix of the leading 2x2 system for (<1>, X <th>/p'):
-    w' = (M/X) w.  Its eigenvalues are the Frobenius exponents u."""
-    return np.array([[c / 8.0, 2.0],
-                     [7.0 * c / 80.0, 1.8 + c / 8.0]], dtype=complex)
+    w' = (M/X) w, the (<1>, <th>) block of _matrix5 shifted by c/8 (u =
+    ubar + c/8).  Its eigenvalues are the Frobenius exponents u."""
+    return _matrix5(CollisionBrackets(0.0, 0.0, 0.0), c)[:2, :2] + c / 8.0 * np.eye(2)
 
 
 def _matrix5(br: CollisionBrackets, c: float) -> np.ndarray:
@@ -314,11 +318,7 @@ def determinant_factor_roots() -> dict:
 def det3_residual(ubar: complex, p3_bracket: complex, c: float) -> complex:
     """det of the 3x3 system minus (ubar - 7/10)(ubar(ubar - 9/5) - 7c/40);
     the factorization oracle for the third-value claim."""
-    m = np.array([
-        [ubar, -2.0, 0.0],
-        [-7.0 * c / 80.0, ubar - 1.8, 0.0],
-        [-7.0 * c / 240.0 * p3_bracket, -11.0 / 30.0 * p3_bracket, ubar - 0.7],
-    ], dtype=complex)
+    m = ubar * np.eye(3) - _matrix5(CollisionBrackets(p3_bracket, 0.0, 0.0), c)[:3, :3]
     det = np.linalg.det(m)
     return det - (ubar - 0.7) * (ubar * (ubar - 1.8) - 7.0 * c / 40.0)
 

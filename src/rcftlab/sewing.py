@@ -195,7 +195,7 @@ def siegel_theta_direct(inp: SewInput, a, b, cutoff: int | None = None,
                     m1, m2 = n1 + a0, n2 + a1
                     ph = t1 * m1 ** 2 / 2 + nu * m1 * m2 + t2 * m2 ** 2 / 2
                     ph += m1 * b0 + m2 * b1
-                    shell += mp.e ** (2j * mp.pi * ph)
+                    shell += mp.exp(2j * mp.pi * ph)
             total += shell
             shell_last = abs(shell)
         if shell_last > mp.mpf("1e-12") * max(abs(total), mp.mpf(1)):

@@ -82,6 +82,16 @@ class TestHyperCurve:
                 assert curve.dp_at_root(s, k) == pytest.approx(
                     curve.dp(curve.roots[s], k), rel=1e-9)
 
+    def test_root_index_out_of_range(self):
+        # a negative index must not wrap to the last root
+        cv = HyperCurve(1, [0, 1, 2, 3, 4.5])
+        assert cv.p_prime_at_root(4) == 4.5 * 3.5 * 2.5 * 1.5
+        for s in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                cv.p_prime_at_root(s)
+            with pytest.raises(ValueError, match="out of range"):
+                cv.dp_at_root(s, 2)
+
     def test_degree_bound(self, curve):
         assert curve.dp(0.3 + 0.1j, curve.n + 1) == 0
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from rcftlab.curve import CorrelatorParams, HyperCurve, omega_s, vartheta
@@ -19,6 +21,7 @@ from rcftlab.odesys import (
     determinant_factor_roots,
     euler_monodromy,
     exact_corollary_residual,
+    exact_matrix,
     exact_rhs,
     fibonacci_equation_count,
     frobenius_exponents,
@@ -102,6 +105,66 @@ class TestExactSystem:
         for s in range(small.n):
             d = exact_rhs(small, s, ExactState5(1, 0, 0, 0, 0))
             assert np.all(np.isfinite(d.as_array()))
+
+    def test_root_index_out_of_range(self):
+        # s = -1 must not wrap to the last root (and report a collision of
+        # X_s with itself)
+        cv = HyperCurve(1, [0, 1, 2, 3, 4.5])
+        for s in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                exact_rhs(cv, s, ExactState5(1, 0, 0, 0, 0))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(offsets=st.lists(st.complex_numbers(max_magnitude=0.4), min_size=5,
+                            max_size=5),
+           s=st.integers(0, 4),
+           log_scale=st.floats(-2.0, 2.0),
+           phase=st.floats(0.0, 2 * math.pi),
+           shift=st.complex_numbers(max_magnitude=3.0))
+    def test_entry_weights(self, offsets, s, log_scale, phase, shift):
+        # with a0 fixed, X -> lambda X scales entry (i, j) by
+        # lambda^(w_i - w_j - 1), w = (0, 3, 2, 1, 4) for (<1>, <th>, <th'>,
+        # <th''>, B~); a translation of all roots changes nothing.  Roots sit
+        # within 0.4 of a regular pentagon of radius 1.5, so no two are
+        # closer than 0.96.
+        a0 = 1.3 - 0.4j
+        roots = [1.5 * cmath.exp(2j * math.pi * k / 5) + d
+                 for k, d in enumerate(offsets)]
+        a = exact_matrix(HyperCurve(a0, roots), s)
+        size = np.abs(a).max()
+        lam = 10.0 ** log_scale * cmath.exp(1j * phase)
+        w = np.array([0, 3, 2, 1, 4])
+        scaled = exact_matrix(HyperCurve(a0, [lam * r for r in roots]), s)
+        back = lam ** (1 + w[None, :] - w[:, None]) * scaled
+        assert np.abs(back - a).max() <= 1e-12 * size
+        moved = exact_matrix(HyperCurve(a0, [r + shift for r in roots]), s)
+        assert np.abs(moved - a).max() <= 1e-12 * size
+
+    def test_flagged_btilde_row_residue_spectrum(self):
+        # Flagged discrepancy, pinned as transcribed: the residue of the
+        # exact system at X_s -> X_t (eigenvalues of h A at X_s = X_t + h,
+        # Richardson-extrapolated in h).  Fibonacci fusion in the pinched
+        # channel predicts ubar + c/8 = {3/20 (three times), 11/20 (twice)}
+        # from twist_exponent; the transcribed B~ row, with its
+        # (7c/640) p''^2/p' coefficient, gives {3/20, 3/20, 11/20} and the
+        # irrational pair 7/20 +- sqrt(17/40) instead.  A coefficient of
+        # 7c/320 would sit 0.45 away at both ends.
+        expected = sorted([0.35 - math.sqrt(17 / 40), 0.15, 0.15, 0.55,
+                           0.35 + math.sqrt(17 / 40)])
+        configs = [  # (a0, X_t, spectators, direction of h)
+            (1.0, 0.0, (-1.0, 0.5, 2.0), 1.0),
+            (0.7 - 0.2j, 0.3 + 0.2j, (-1.2 + 0.4j, 1.1 - 0.3j, 2.0 + 1.0j),
+             cmath.exp(0.7j)),
+            (2.0, 1.0, (-1.0, -0.5, 1.5), 1j),
+            (1.0, 0.0, (1.0, 1j, -1 - 1j), cmath.exp(2.1j)),
+        ]
+        for a0, xt, spectators, direction in configs:
+            def residue_spectrum(h):
+                cv = HyperCurve(a0, [xt + h, xt, *spectators])
+                return np.sort(np.linalg.eigvals(h * exact_matrix(cv, 0)).real)
+            h = 5e-3 * direction
+            extrapolated = 2 * residue_spectrum(h / 2) - residue_spectrum(h)
+            assert extrapolated == pytest.approx(expected, abs=2e-2)
 
 
 class TestIndicialQuadratic:

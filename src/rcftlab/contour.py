@@ -1,7 +1,9 @@
 """Numeric contour integration around ramification points.
 
 Laurent-coefficient extraction by trapezoid quadrature on circles
-(spectrally accurate for analytic integrands), verification of the
+(spectrally accurate for analytic integrands): cauchy_coefficient is the
+package's one circle kernel, and it returns several orders from one
+evaluation of the integrand.  On top of it sit the verification of the
 closed-form k = 0, 1, 3 integrals of the coincident two-point function,
 the k = 2 auxiliary quantity that closes the exact ODE system, and the
 scalar curvature integrals of the regularized metric.
@@ -74,21 +76,26 @@ class ContourSpec:
 
 def default_spec_for_root(curve: HyperCurve, s: int, nodes: int = 512) -> ContourSpec:
     """Quarter of the nearest-root distance around X_s."""
-    return ContourSpec(curve.roots[s],
-                       0.25 * curve.nearest_other_root_distance(s), nodes)
+    radius = 0.25 * curve.nearest_other_root_distance(s)
+    return ContourSpec(curve.roots[s], radius, nodes)
 
 
-def cauchy_coefficient(f, spec: ContourSpec, k: int) -> complex:
+def cauchy_coefficient(f, spec: ContourSpec, k):
     """(1/2 pi i) oint f(x)/(x - center)^{k+1} dx by the trapezoid rule.
 
     ``f`` is called once, with the array of all nodes, so it must be
     numpy-vectorised; a scalar result (a constant integrand) is broadcast
-    over the nodes.
+    over the nodes.  ``k`` is one order, giving one complex coefficient, or
+    a sequence of orders, giving a list of them from the same samples.
     """
     thetas = 2.0 * math.pi * np.arange(spec.nodes) / spec.nodes
     ring = np.exp(1j * thetas)
     vals = np.broadcast_to(f(spec.center + spec.radius * ring), ring.shape)
-    return complex(np.mean(vals * ring ** (-k)) * spec.radius ** (-k))
+
+    def coefficient(j):
+        return complex(np.mean(vals * ring ** (-j)) * spec.radius ** (-j))
+
+    return coefficient(k) if np.ndim(k) == 0 else [coefficient(j) for j in k]
 
 
 def node_doubling_error(f, spec: ContourSpec, k: int) -> float:
@@ -113,21 +120,20 @@ def theta_laurent(curve: HyperCurve, params: CorrelatorParams, s: int, k: int,
 # coincident two-point integrals
 # ----------------------------------------------------------------------
 
-def _even_at_root(curve, params, s, bcoeffs):
+def _even_coefficients(curve, params, s, k, spec):
+    """Circle coefficients of order k (one order or a sequence) of the even
+    two-point function with one argument at X_s."""
+    spec = spec or default_spec_for_root(curve, s)
+    bc = b_sym_coeffs(curve, params)
     xs = curve.roots[s]
-
-    def f(x):
-        return two_point(curve, params, x, xs, bcoeffs).even
-
-    return f
+    return cauchy_coefficient(lambda x: two_point(curve, params, x, xs, bc).even,
+                              spec, k)
 
 
 def k_integral_numeric(curve, params, s: int, k: int,
                        spec: ContourSpec | None = None) -> complex:
     """(2/p'_{X_s}) oint <theta_{X_s} theta_x>/(x - X_s)^{k+1} dx/(2 pi i)."""
-    spec = spec or default_spec_for_root(curve, s)
-    bc = b_sym_coeffs(curve, params)
-    raw = cauchy_coefficient(_even_at_root(curve, params, s, bc), spec, k)
+    raw = _even_coefficients(curve, params, s, k, spec)
     return 2.0 / curve.p_prime_at_root(s) * raw
 
 
@@ -170,10 +176,13 @@ class KIntegralReport:
 
 def verify_k_integrals(curve, params, s: int,
                        spec: ContourSpec | None = None) -> list[KIntegralReport]:
-    """Numeric-vs-closed-form reports for k = 0, 1, 3."""
+    """Numeric-vs-closed-form reports for k = 0, 1, 3; the two-point
+    integrand is evaluated once for all three."""
     out = []
-    for k in (0, 1, 3):
-        num = k_integral_numeric(curve, params, s, k, spec)
+    raws = _even_coefficients(curve, params, s, (0, 1, 3), spec)
+    p1 = curve.p_prime_at_root(s)
+    for k, raw in zip((0, 1, 3), raws):
+        num = 2.0 / p1 * raw
         closed = k_integral_closed(curve, params, s, k)
         rel = abs(num - closed) / max(abs(closed), 1e-300)
         out.append(KIntegralReport(k, num, closed, rel))
@@ -186,9 +195,7 @@ def btilde(curve, params, s: int, spec: ContourSpec | None = None) -> complex:
     The k = 2 Laurent coefficient that the closed forms do not cover; it
     carries the B11 dependence (a unit shift of B11 moves it by -1/2).
     """
-    spec = spec or default_spec_for_root(curve, s)
-    bc = b_sym_coeffs(curve, params)
-    return cauchy_coefficient(_even_at_root(curve, params, s, bc), spec, 2)
+    return _even_coefficients(curve, params, s, 2, spec)
 
 
 def btilde_taylor_closed(curve, params, s: int) -> complex:

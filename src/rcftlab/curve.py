@@ -25,6 +25,7 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "CENTRAL_CHARGE_25",
@@ -32,7 +33,6 @@ __all__ = [
     "CorrelatorParams",
     "TwoPointValue",
     "schwarzian",
-    "schwarzian_fd",
     "omega_s",
     "f_pair",
     "admissible_graphs",
@@ -49,31 +49,12 @@ CENTRAL_CHARGE_25 = -22.0 / 5.0
 MIN_ROOT_RATIO = 1e-8
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 def _poly_der(a: np.ndarray, k: int = 1) -> np.ndarray:
     for _ in range(k):
         if len(a) <= 1:
             return np.zeros(1, dtype=complex)
         a = a[1:] * np.arange(1, len(a))
     return a
-
-
-def _poly_eval(a: np.ndarray, x: complex) -> complex:
-    out = 0j
-    for c in a[::-1]:
-        out = out * x + c
-    return out
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = max(len(a), len(b))
-    out = np.zeros(m, dtype=complex)
-    out[:len(a)] += a
-    out[:len(b)] += b
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,7 +88,7 @@ class HyperCurve:
         """Ascending coefficient array of p."""
         out = np.array([self.a0], dtype=complex)
         for r in self.roots:
-            out = _poly_mul(out, np.array([-r, 1.0], dtype=complex))
+            out = np.convolve(out, np.array([-r, 1.0], dtype=complex))
         return out
 
     @cached_property
@@ -126,21 +107,20 @@ class HyperCurve:
         """k-th derivative at x; zero beyond the polynomial degree."""
         if k > self.n:
             return 0j
-        return _poly_eval(self._dpolys[k], x)
+        return polyval(x, self._dpolys[k])
 
-    def p_prime_at_root(self, s: int) -> complex:
-        """p'(X_s) = a0 prod_{i != s} (X_s - X_i), as an exact product.
-
-        dp_at_root and odesys.exact_matrix read X_s through here, so this
-        is where an index outside 0 <= s < n is rejected."""
+    def _root_differences(self, s: int) -> list[complex]:
+        """[X_s - X_i for i != s], in root order.  Every root-local quantity
+        reads X_s through here, so this is where an index outside
+        0 <= s < n is rejected."""
         if not 0 <= s < self.n:
             raise ValueError(f"root index {s} out of range")
         xs = self.roots[s]
-        out = self.a0 + 0j
-        for i, r in enumerate(self.roots):
-            if i != s:
-                out *= (xs - r)
-        return out
+        return [xs - r for i, r in enumerate(self.roots) if i != s]
+
+    def p_prime_at_root(self, s: int) -> complex:
+        """p'(X_s) = a0 prod_{i != s} (X_s - X_i), as an exact product."""
+        return math.prod(self._root_differences(s), start=self.a0 + 0j)
 
     def _root_derivatives(self, s: int) -> list[complex]:
         """[p(X_s), p'(X_s), ..., p^(n)(X_s)] in one pass over the spectator
@@ -148,8 +128,7 @@ class HyperCurve:
         neither poly nor _dpolys, so a curve made for one evaluation stays
         cheap."""
         p1 = self.p_prime_at_root(s)
-        xs = self.roots[s]
-        w = [1.0 / (xs - r) for i, r in enumerate(self.roots) if i != s]
+        w = [1.0 / d for d in self._root_differences(s)]
         e = _elementary_symmetric(w, self.n - 1)
         return [0j] + [math.factorial(k) * p1 * e[k - 1]
                        for k in range(1, self.n + 1)]
@@ -168,8 +147,7 @@ class HyperCurve:
         return sheet * cmath.sqrt(self.p(x))
 
     def nearest_other_root_distance(self, s: int) -> float:
-        xs = self.roots[s]
-        return min(abs(xs - r) for i, r in enumerate(self.roots) if i != s)
+        return min(abs(d) for d in self._root_differences(s))
 
     def schwarzian_p(self, x: complex) -> complex:
         """S(p)(x) = p'''/p' - (3/2)(p''/p')^2, exact derivatives."""
@@ -194,11 +172,11 @@ class HyperCurve:
 
 def _elementary_symmetric(values, m: int) -> list[complex]:
     """[e_0, ..., e_m] of the values, by the product recurrence."""
-    e = np.zeros(m + 1, dtype=complex)
-    e[0] = 1.0
+    e = [1.0 + 0j] + [0j] * m
     for v in values:
-        e[1:] = e[1:] + v * e[:-1]
-    return e.tolist()
+        for k in range(m, 0, -1):
+            e[k] += v * e[k - 1]
+    return e
 
 
 # ----------------------------------------------------------------------
@@ -208,40 +186,27 @@ def _elementary_symmetric(values, m: int) -> list[complex]:
 def schwarzian(f, x: complex, step: float | None = None) -> complex:
     """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2 at x.
 
-    A HyperCurve uses exact polynomial derivatives; a callable is sampled
-    on a circle of radius ``step`` (it must be analytic there), which
-    keeps the third-derivative noise far below plain stencils.
+    A HyperCurve uses exact polynomial derivatives.  A callable is sampled
+    on the circle |z - x| = ``step`` (it must be analytic on and inside
+    it): it is called once, on the numpy array of the circle's nodes, and
+    contour.cauchy_coefficient turns the samples into Taylor coefficients,
+    which keeps the third-derivative noise far below plain stencils.
     """
     if isinstance(f, HyperCurve):
         return f.schwarzian_p(x)
     if step is None:
         raise ValueError("sampled Schwarzian needs a step (circle radius)")
-    return schwarzian_fd(f, x, step)
-
-
-def schwarzian_fd(f, x: complex, h: float, nodes: int = 32) -> complex:
-    """Schwarzian from circle-sampled derivatives.
-
-    Equal-angle differencing of f on |z - x| = h gives k! times the Taylor
-    coefficients with spectral accuracy for analytic f.
-    """
-    thetas = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * thetas)
-    vals = np.array([f(x + h * w) for w in ring])
-    def deriv(k):
-        return math.factorial(k) * np.mean(vals * ring ** (-k)) / h ** k
-    f1 = deriv(1)
-    if f1 == 0:
+    from .contour import ContourSpec, cauchy_coefficient  # contour imports curve
+    # the Taylor coefficients f^(k)(x)/k! for k = 1, 2, 3
+    a1, a2, a3 = cauchy_coefficient(f, ContourSpec(x, step), (1, 2, 3))
+    if a1 == 0:
         raise ValueError("Schwarzian undefined where f' vanishes")
-    return deriv(3) / f1 - 1.5 * (deriv(2) / f1) ** 2
+    return 6.0 * a3 / a1 - 1.5 * (2.0 * a2 / a1) ** 2
 
 
 def omega_s(curve: HyperCurve, s: int, xi: complex = 1.0) -> complex:
     """omega_s = sum_{t != s} xi/(X_s - X_t)."""
-    if not 0 <= s < curve.n:
-        raise ValueError(f"root index {s} out of range")
-    xs = curve.roots[s]
-    return xi * sum(1.0 / (xs - r) for i, r in enumerate(curve.roots) if i != s)
+    return xi * sum(1.0 / d for d in curve._root_differences(s))
 
 
 def f_pair(curve: HyperCurve, x1: complex, x2: complex,
@@ -298,6 +263,8 @@ class CorrelatorParams:
         return cls.make(curve, z, draw(curve.n - 2), complex(*rng.normal(size=2)), c)
 
     def __post_init__(self):
+        if len(self.theta_coeffs) != self._curve_n - 1:
+            raise ValueError(f"need {self._curve_n - 1} theta coefficients")
         lead = -(self.c / 32.0) * (self._curve_n ** 2 - 1) * self._curve_a0 * self.z
         if abs(self.theta_coeffs[-1] - lead) > 1e-9 * max(1.0, abs(lead)):
             raise ValueError("leading theta coefficient violates the large-x law")
@@ -316,7 +283,7 @@ def vartheta(curve: HyperCurve, params: CorrelatorParams, x: complex,
     """<theta>(x) polynomial model, or its x-derivative."""
     cs = np.array(params.theta_coeffs, dtype=complex)
     cs = _poly_der(cs, deriv) if deriv else cs
-    return _poly_eval(cs, x)
+    return polyval(x, cs)
 
 
 def psi_value(curve: HyperCurve, params: CorrelatorParams, x: complex) -> complex:
@@ -356,12 +323,13 @@ def beta_poly_coeffs(curve: HyperCurve, params: CorrelatorParams) -> np.ndarray:
     P = [curve._dpolys[k] for k in range(6)]
     th = np.array(params.theta_coeffs, dtype=complex)
     th1, th2 = _poly_der(th), _poly_der(th, 2)
-    out = z * (-(7 * c / 960.0) * _poly_mul(P[1], P[3])
-               + (91 * c / 16000.0) * _poly_mul(P[2], P[2])
-               + (c / 192.0) * _poly_mul(P[0], P[4]))
-    out = _poly_add(out, 0.05 * _poly_mul(P[0], th2))
-    out = _poly_add(out, 0.15 * _poly_mul(P[1], th1))
-    out = _poly_add(out, -(2.0 / 25.0) * _poly_mul(P[2], th))
+    # at n = 5 each of the six products has degree 6, so they add directly
+    out = (z * (-(7 * c / 960.0) * np.convolve(P[1], P[3])
+                + (91 * c / 16000.0) * np.convolve(P[2], P[2])
+                + (c / 192.0) * np.convolve(P[0], P[4]))
+           + 0.05 * np.convolve(P[0], th2)
+           + 0.15 * np.convolve(P[1], th1)
+           - (2.0 / 25.0) * np.convolve(P[2], th))
     scale = max(np.abs(out).max(), 1e-30)
     if len(out) > 5 and np.abs(out[5:]).max() > 1e-9 * scale:
         raise ValueError("beta does not truncate to degree 4; model off calibration")
@@ -369,7 +337,7 @@ def beta_poly_coeffs(curve: HyperCurve, params: CorrelatorParams) -> np.ndarray:
 
 
 def beta_value(curve, params, x, deriv: int = 0) -> complex:
-    return _poly_eval(_poly_der(beta_poly_coeffs(curve, params), deriv), x)
+    return polyval(x, _poly_der(beta_poly_coeffs(curve, params), deriv))
 
 
 def beta_prime_closed(curve, params, x) -> complex:

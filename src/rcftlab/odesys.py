@@ -123,8 +123,7 @@ def exact_matrix(curve: HyperCurve, s: int, c: float = -22.0 / 5.0) -> np.ndarra
     if curve.n != 5:
         raise ValueError("exact system is the n=5 statement")
     _, p1, p2, p3, p4, p5 = curve._root_derivatives(s)
-    xs = curve.roots[s]
-    gaps = [abs(r - xs) for i, r in enumerate(curve.roots) if i != s]
+    gaps = [abs(d) for d in curve._root_differences(s)]
     ratio = min(gaps) / max(gaps)
     if ratio < COLLISION_RATIO:
         raise ValueError(f"root collision: nearest/farthest root gap ratio "

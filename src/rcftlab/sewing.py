@@ -363,7 +363,10 @@ def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
 
     sum over |m|,|n| <= radius of 1/(z-w)^2 - 1/w^2 plus
     3 z^2 (S4 - S4_trunc) + 5 z^4 (S6 - S6_trunc), where the full lattice
-    sums S4, S6 are known in closed form for this lattice.
+    sums S4, S6 are known in closed form for this lattice.  The box is
+    symmetric under w -> -w, so the sum runs over one point of each pair
+    with summand 1/(z-w)^2 + 1/(z+w)^2 - 2/w^2; the truncated S4, S6 are
+    even and are twice their half-box sums.
     """
     with mp.workdps(dps):
         z = mp.mpmathify(z)
@@ -371,18 +374,16 @@ def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
         total = 1 / z ** 2
         s4 = mp.mpc(0)
         s6 = mp.mpc(0)
-        for m in range(-radius, radius + 1):
-            for n in range(-radius, radius + 1):
-                if m == 0 and n == 0:
-                    continue
+        for m in range(radius + 1):
+            for n in range(-radius if m else 1, radius + 1):
                 w = 2j * mp.pi * (m + n * t)
-                total += 1 / (z - w) ** 2 - 1 / w ** 2
+                total += 1 / (z - w) ** 2 + 1 / (z + w) ** 2 - 2 / w ** 2
                 w4 = w ** -4
                 s4 += w4
                 s6 += w4 / w / w
         s4_full = _eisenstein_sum(4, tau, dps) / 720
         s6_full = -_eisenstein_sum(6, tau, dps) / 30240
-        total += 3 * z ** 2 * (s4_full - s4) + 5 * z ** 4 * (s6_full - s6)
+        total += 3 * z ** 2 * (s4_full - 2 * s4) + 5 * z ** 4 * (s6_full - 2 * s6)
         return total
 
 

@@ -103,6 +103,14 @@ class TestKIntegrals:
                 assert isinstance(rep, KIntegralReport)
                 assert rep.rel_err < 1e-8, f"k={rep.k}"
 
+    def test_shared_evaluation_matches_single_k(self, curve, params):
+        # verify_k_integrals takes all three orders from one set of samples;
+        # each must be the very number the single-k quadrature gives
+        reps = verify_k_integrals(curve, params, 2)
+        for rep, k in zip(reps, (0, 1, 3)):
+            assert rep.k == k
+            assert rep.numeric == k_integral_numeric(curve, params, 2, k)
+
     def test_b11_invariance_k013(self, curve, params):
         shifted = CorrelatorParams(params.z, params.theta_coeffs, params.b11 + 1.0,
                                    params.c, curve.n, curve.a0)

@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from rcftlab.contour import theta_laurent
 from rcftlab.curve import (
     CENTRAL_CHARGE_25,
     CorrelatorParams,
@@ -85,12 +86,20 @@ class TestHyperCurve:
     def test_root_index_out_of_range(self):
         # a negative index must not wrap to the last root
         cv = HyperCurve(1, [0, 1, 2, 3, 4.5])
+        pp = CorrelatorParams.random_for(cv, np.random.default_rng(5))
         assert cv.p_prime_at_root(4) == 4.5 * 3.5 * 2.5 * 1.5
         for s in (-1, 5):
             with pytest.raises(ValueError, match="out of range"):
                 cv.p_prime_at_root(s)
             with pytest.raises(ValueError, match="out of range"):
                 cv.dp_at_root(s, 2)
+            with pytest.raises(ValueError, match="out of range"):
+                cv.nearest_other_root_distance(s)
+            with pytest.raises(ValueError, match="out of range"):
+                omega_s(cv, s)
+            # the default contour is sized from the nearest-root distance
+            with pytest.raises(ValueError, match="out of range"):
+                theta_laurent(cv, pp, s, 0)
 
     def test_degree_bound(self, curve):
         assert curve.dp(0.3 + 0.1j, curve.n + 1) == 0
@@ -189,6 +198,8 @@ class TestCorrelatorParams:
         # coefficient of x^{n-1} and above vanishes: the model polynomial
         # has exactly n-1 coefficients
         assert len(params.theta_coeffs) == curve.n - 1
+        with pytest.raises(ValueError, match="theta coefficients"):
+            CorrelatorParams(params.z, params.theta_coeffs[1:], params.b11)
         assert vartheta(curve, params, 0.0, deriv=curve.n - 1) == 0
 
 

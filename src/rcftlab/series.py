@@ -217,8 +217,9 @@ class TruncatedSeries:
 
     def __mul__(self, other) -> "TruncatedSeries":
         if np.isscalar(other):
+            # complex() once: a Fraction would otherwise make an object array
             return TruncatedSeries(self.denom, self.min_num,
-                                   self.coeffs * other, self.trunc_num)
+                                   self.coeffs * complex(other), self.trunc_num)
         a, b = TruncatedSeries.aligned(self, other)
         # pessimistic truncation: min over inputs shifted by leading exponents
         la = a.min_num if not a.is_zero else a.trunc_num

@@ -11,6 +11,14 @@ expansion residuals scale like nu^8 and fall far below double precision
 for the nu grids of interest (at tau = 1.5i the nu = 1e-2 residual is
 already ~1e-18).
 
+The direct sum walks square shells max(|n1|, |n2|) = s under the stopping
+rule of the genus-1 theta kernel: it stops at the first shell past s = 1
+whose absolute mass sum |term| is below 10^-dps of the sum.  It reads the
+mass, not the signed shell sum, because a b = 1/2 characteristic makes
+terms of one shell alternate in sign.  The sum needs only a
+positive-definite Im Omega, which ``SewInput`` checks; nu itself may be
+large, and a real nu only moves phases.
+
 Two source displays are handled as flagged, not corrected:
 
 * the Theta_{2,4} expansion display omits the normalizing denominators
@@ -33,7 +41,6 @@ from .series import order_fit
 
 __all__ = [
     "SewInput",
-    "CharTheta",
     "RamificationSet",
     "EQUIANHARMONIC_TAU",
     "theta_char_1d",
@@ -87,21 +94,8 @@ class SewInput:
         if self.nu is not None and t1 * t2 <= complex(self.nu).imag ** 2:
             raise ValueError("Im Omega not positive definite: Im tau1 Im tau2 <= (Im nu)^2")
         # |nu| <= 0.1 is the documented validity range of expansion mode;
-        # direct mode works beyond it and the bound is not enforced here
-
-
-@dataclass(frozen=True)
-class CharTheta:
-    """One Siegel theta constant with characteristic [a; b], a.b = 0."""
-
-    a: tuple
-    b: tuple
-    value: complex
-
-    def __post_init__(self):
-        dot = self.a[0] * self.b[0] + self.a[1] * self.b[1]
-        if dot != 0:
-            raise ValueError("characteristics with a.b != 0 are not supported")
+        # the direct sum needs only the positive-definite Im Omega checked
+        # above, so the bound is not enforced here
 
 
 @dataclass(frozen=True)
@@ -167,41 +161,59 @@ def siegel_theta_direct(inp: SewInput, a, b, cutoff: int | None = None,
                         dps: int = DEFAULT_DPS):
     """Genus-2 theta constant theta[a; b](0, Omega) by direct double sum.
 
-    Omega has diagonal (tau1, tau2) and off-diagonal nu.  The last summed
-    shell must contribute below 1e-12 relative, else the cutoff is too
-    small.
+    Omega has diagonal (tau1, tau2) and off-diagonal nu.  Square shells
+    max(|n1|, |n2|) = s are added until the first shell past s = 1 whose
+    absolute mass sum |term| is below 10^-dps of the sum, the genus-1
+    kernel's rule.  The mass is read rather than the shell sum because a
+    b = 1/2 characteristic makes the terms of a shell alternate in sign.
+    The sum converges for every positive-definite Im Omega, which
+    ``SewInput`` checks.  ``cutoff`` caps s (None: 600, the genus-1 cap);
+    a sum that has not stopped by then raises.
     """
     if inp.nu is None:
         raise ValueError("direct theta sum needs nu")
+    cap = 600 if cutoff is None else cutoff
     with mp.workdps(dps):
-        t1, t2 = mp.mpmathify(inp.tau1), mp.mpmathify(inp.tau2)
-        nu = mp.mpmathify(inp.nu)
-        a0, a1 = mp.mpmathify(a[0]), mp.mpmathify(a[1])
-        b0, b1 = mp.mpmathify(b[0]), mp.mpmathify(b[1])
-        N = cutoff
-        if N is None:
-            im_eff = min(float(t1.imag), float(t2.imag)) - 2.0 * abs(complex(inp.nu))
-            if im_eff <= 0:
-                raise ValueError("period matrix not positive definite enough for the sum")
-            N = max(10, math.ceil(math.sqrt((dps + 8) * math.log(10) / (math.pi * im_eff)) + 1.5))
+        t1, t2, nu = (mp.mpmathify(x) for x in (inp.tau1, inp.tau2, inp.nu))
+        a0, a1, b0, b1 = (mp.mpmathify(x) for x in (*a, *b))
+        two_pi_i = 2j * mp.pi
+        tol = mp.mpf(10) ** -dps
         total = mp.mpc(0)
-        shell_last = mp.mpf(0)
-        for s in range(N + 1):
-            shell = mp.mpc(0)
-            for n1 in range(-s, s + 1):
-                for n2 in range(-s, s + 1):
-                    if max(abs(n1), abs(n2)) != s:
-                        continue
-                    m1, m2 = n1 + a0, n2 + a1
-                    ph = t1 * m1 ** 2 / 2 + nu * m1 * m2 + t2 * m2 ** 2 / 2
-                    ph += m1 * b0 + m2 * b1
-                    shell += mp.exp(2j * mp.pi * ph)
+        for s in range(cap + 1):
+            # the perimeter max(|n1|, |n2|) = s, corners once
+            side = range(-s, s + 1)
+            ring = dict.fromkeys(p for n in (-s, s) for m in side for p in ((n, m), (m, n)))
+            shell, mass = mp.mpc(0), mp.mpf(0)
+            for n1, n2 in ring:
+                m1, m2 = n1 + a0, n2 + a1
+                ph = t1 * m1 ** 2 / 2 + nu * m1 * m2 + t2 * m2 ** 2 / 2
+                ph += m1 * b0 + m2 * b1
+                term = mp.exp(two_pi_i * ph)
+                shell += term
+                mass += abs(term)
             total += shell
-            shell_last = abs(shell)
-        if shell_last > mp.mpf("1e-12") * max(abs(total), mp.mpf(1)):
-            raise ValueError(f"cutoff {N} too small: last shell contributes "
-                             f"{float(shell_last):.3e}")
-        return total
+            if s > 1 and mass < tol * max(abs(total), 1e-300):
+                return total
+        raise ValueError(f"cutoff {cap} too small: the sum has not converged")
+
+
+def _theta_jets(inp: SewInput, pairs, dps: int, nderiv: int = 4) -> dict:
+    """theta_i^(k)(tau1) under key (0, i) and theta_j^(k)(tau2) under (1, j),
+    k < nderiv, for every pair (i, j); each value is read once."""
+    return {(side, i): [theta_char_1d(i, tau, k, dps) for k in range(nderiv)]
+            for side, tau in enumerate((inp.tau1, inp.tau2))
+            for i in sorted({p[side] for p in pairs})}
+
+
+def _expansion(inp: SewInput, jets: dict, pair, order: int, dps: int):
+    ti, tj = jets[0, pair[0]], jets[1, pair[1]]
+    with mp.workdps(dps):
+        nu = mp.mpmathify(inp.nu)
+        total = mp.mpf(1)
+        for k in range(1, order // 2 + 1):
+            rk = (ti[k] / ti[0]) * (tj[k] / tj[0])
+            total += (2 * nu) ** (2 * k) / mp.factorial(2 * k) * rk
+        return ti[0] * tj[0] * total
 
 
 def siegel_theta_expansion(inp: SewInput, pair: tuple[int, int],
@@ -217,20 +229,8 @@ def siegel_theta_expansion(inp: SewInput, pair: tuple[int, int],
         raise ValueError("expansion mode needs nu")
     if order > 6:
         raise ValueError("expansion implemented through nu^6 as printed")
-    i, j = pair
-    if pair not in _PAIR_CHARS:
-        raise ValueError(f"unsupported theta pair {pair}")
-    with mp.workdps(dps):
-        nu = mp.mpmathify(inp.nu)
-        ti = [theta_char_1d(i, inp.tau1, k, dps) for k in range(4)]
-        tj = [theta_char_1d(j, inp.tau2, k, dps) for k in range(4)]
-        total = mp.mpf(1)
-        for k in (1, 2, 3):
-            if 2 * k > order:
-                break
-            rk = (ti[k] / ti[0]) * (tj[k] / tj[0])
-            total += (2 * nu) ** (2 * k) / mp.factorial(2 * k) * rk
-        return ti[0] * tj[0] * total
+    theta_pair_chars(pair)  # rejects an unsupported pair
+    return _expansion(inp, _theta_jets(inp, [pair], dps), pair, order, dps)
 
 
 # ----------------------------------------------------------------------
@@ -238,9 +238,8 @@ def siegel_theta_expansion(inp: SewInput, pair: tuple[int, int],
 # ----------------------------------------------------------------------
 
 def _theta_sq_quotient(th: dict, num: tuple, den: tuple):
-    (i1, j1), (i2, j2) = num
-    (u1, v1), (u2, v2) = den
-    return (th[(i1, j1)] ** 2 * th[(i2, j2)] ** 2) / (th[(u1, v1)] ** 2 * th[(u2, v2)] ** 2)
+    (n1, n2), (d1, d2) = num, den
+    return (th[n1] ** 2 * th[n2] ** 2) / (th[d1] ** 2 * th[d2] ** 2)
 
 
 def _ram_from_thetas(th: dict):
@@ -256,14 +255,15 @@ def ramification_points(inp: SewInput, dps: int = DEFAULT_DPS) -> RamificationSe
 
     nu = 0 is degenerate (all three collapse onto b0) and is flagged.
     """
+    degenerate = inp.nu is None or inp.nu == 0
     with mp.workdps(dps):
-        b0 = _theta_sum(3, inp.tau1, 0, dps) ** 4 / _theta_sum(2, inp.tau1, 0, dps) ** 4
-        if inp.nu is None or inp.nu == 0:
+        jets = _theta_jets(inp, _PAIR_CHARS, dps, 1 if degenerate else 4)
+        b0 = jets[0, 3][0] ** 4 / jets[0, 2][0] ** 4
+        if degenerate:
             b0c = complex(b0)
             return RamificationSet(b0c, b0c, b0c, b0c, 0.0, degenerate=True)
-        direct = {p: siegel_theta_direct(inp, *_PAIR_CHARS[p], dps=dps)
-                  for p in _PAIR_CHARS}
-        expans = {p: siegel_theta_expansion(inp, p, dps=dps) for p in _PAIR_CHARS}
+        direct = {p: siegel_theta_direct(inp, *c, dps=dps) for p, c in _PAIR_CHARS.items()}
+        expans = {p: _expansion(inp, jets, p, 6, dps) for p in _PAIR_CHARS}
         xd = _ram_from_thetas(direct)
         xe = _ram_from_thetas(expans)
         agree = max(float(abs(d - e) / abs(d)) for d, e in zip(xd, xe))
@@ -298,14 +298,13 @@ def x3_x5_relative_leading(inp: SewInput, corrected: bool = True,
 
 def mode_agreement_orderfit(tau1, tau2, nus, dps: int = DEFAULT_DPS):
     """order_fit of max_{pairs} |direct - expansion| over a decreasing nu grid."""
+    jets = _theta_jets(SewInput(tau1, tau2), _PAIR_CHARS, dps)
     samples = []
     for nu in nus:
         inp = SewInput(tau1, tau2, nu=nu)
-        worst = 0.0
-        for p in _PAIR_CHARS:
-            d = siegel_theta_direct(inp, *_PAIR_CHARS[p], dps=dps)
-            e = siegel_theta_expansion(inp, p, dps=dps)
-            worst = max(worst, float(abs(d - e)))
+        worst = max(float(abs(siegel_theta_direct(inp, *c, dps=dps)
+                                  - _expansion(inp, jets, p, 6, dps)))
+                    for p, c in _PAIR_CHARS.items())
         samples.append((float(abs(nu)), worst))
     return order_fit(samples)
 

@@ -1,5 +1,7 @@
 """Tests for truncated-series arithmetic and order fitting."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,15 @@ def test_mul_div_round_trip():
         b = TruncatedSeries(1, 0, np.concatenate([[1.0], tail]), order) * lead
         r = (a * b) / b
         assert coeff_distance(r, a.truncated(r.trunc)) < 1e-12 * max(1.0, a.max_abs_coeff())
+
+
+def test_fraction_scalar_matches_float():
+    s = TruncatedSeries(2, -1, np.linspace(-3, 5, 40) * (1 - 0.5j), 39)
+    out = Fraction(11, 3600) * s
+    ref = (11 / 3600) * s
+    assert out.coeffs.dtype == complex
+    assert (out.denom, out.min_num, out.trunc_num) == (ref.denom, ref.min_num, ref.trunc_num)
+    assert np.array_equal(out.coeffs, ref.coeffs)
 
 
 def test_division_by_zero_series_raises():

@@ -8,7 +8,6 @@ import pytest
 from rcftlab.series import order_fit
 from rcftlab.sewing import (
     EQUIANHARMONIC_TAU,
-    CharTheta,
     RamificationSet,
     SewInput,
     almost_global_coords,
@@ -29,6 +28,7 @@ from rcftlab.sewing import (
 
 TAU = 1.5j
 NU_GRID = (1e-2, 3e-3, 1e-3)
+PAIRS = ((3, 3), (2, 3), (3, 2), (2, 4), (3, 4), (2, 2))
 
 
 def test_sew_input_rejects_indefinite_im_omega():
@@ -38,12 +38,6 @@ def test_sew_input_rejects_indefinite_im_omega():
     with pytest.raises(ValueError, match="positive definite"):
         SewInput(1.5j, 1.5j, nu=1.5j)  # determinant 0
     SewInput(1.5j, 1.5j, nu=0.3 + 1.4j)  # determinant 0.29 > 0
-
-
-def test_char_theta_orthogonality_enforced():
-    with pytest.raises(ValueError):
-        CharTheta((0.5, 0), (0.5, 0), 1.0)
-    CharTheta((0.5, 0), (0, 0.5), 1.0)  # a.b = 0 accepted
 
 
 class TestDirectSum:
@@ -64,7 +58,7 @@ class TestDirectSum:
 
     def test_all_pairs_reduce_at_nu0(self):
         inp = SewInput(1.5j, 1.2j, nu=0.0)
-        for (i, j) in [(3, 3), (2, 3), (3, 2), (2, 4), (3, 4), (2, 2)]:
+        for (i, j) in PAIRS:
             a, b = theta_pair_chars((i, j))
             v = siegel_theta_direct(inp, a, b)
             prod = theta_char_1d(i, 1.5j) * theta_char_1d(j, 1.2j)
@@ -75,6 +69,25 @@ class TestDirectSum:
         a, b = theta_pair_chars((3, 3))
         with pytest.raises(ValueError):
             siegel_theta_direct(inp, a, b, cutoff=1)
+
+    @pytest.mark.parametrize("im_tau", [1.1, 2.0])
+    @pytest.mark.parametrize("nu", [1e-2, 0.8, 0.3 + 0.2j])
+    def test_against_fixed_box(self, im_tau, nu):
+        # any positive-definite Im Omega is summed, a large real nu included;
+        # the oracle is the box |n1|, |n2| <= 14 at 60 digits
+        inp = SewInput(0.1 + im_tau * 1j, im_tau * 1j, nu=nu)
+        for pair in PAIRS:
+            a, b = theta_pair_chars(pair)
+            with mp.workdps(60):
+                t1, t2, w = (mp.mpmathify(x) for x in (inp.tau1, inp.tau2, nu))
+                ref = mp.mpc(0)
+                for n1 in range(-14, 15):
+                    for n2 in range(-14, 15):
+                        m1, m2 = n1 + a[0], n2 + a[1]
+                        ph = t1 * m1 ** 2 / 2 + w * m1 * m2 + t2 * m2 ** 2 / 2
+                        ref += mp.exp(2j * mp.pi * (ph + m1 * b[0] + m2 * b[1]))
+                v = siegel_theta_direct(inp, a, b)
+                assert abs(v - ref) < 1e-35 * abs(ref), pair
 
     def test_swap_symmetry(self):
         # swapping the tori transposes the characteristic entries

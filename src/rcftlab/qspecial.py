@@ -191,14 +191,18 @@ class CharacterSeries:
 
 
 def _rr_sum_form(variant: str, order: int) -> TruncatedSeries:
+    """sum_n q^e(n)/(q)_n, with 1/(q)_n kept as a running product of the
+    geometric series 1/(1 - q^n) = 1 + q^n + q^2n + ..."""
     out = TruncatedSeries.zero(order)
+    inv = TruncatedSeries.constant(1.0, order)
     n = 0
     while True:
         e = n * n + n if variant == "h0" else n * n
         if e >= order:
             break
-        term = TruncatedSeries.monomial(1.0, e, order) / pochhammer(order, n)
-        out = out + term
+        if n:
+            inv = inv * TruncatedSeries.from_dict(1, dict.fromkeys(range(0, order, n), 1.0), order)
+        out = out + inv.shifted(e)
         n += 1
     return out
 
@@ -216,11 +220,11 @@ def rr_product_form(variant: str, order: int) -> TruncatedSeries:
     h0: prod over n = +-2 mod 5 of (1-q^n)^{-1};  g0: n = +-1 mod 5.
     """
     residues = (2, 3) if variant == "h0" else (1, 4)
-    out = TruncatedSeries.constant(1.0, order)
+    den = TruncatedSeries.constant(1.0, order)
     for n in range(1, order):
         if n % 5 in residues:
-            out = out / TruncatedSeries.from_dict(1, {0: 1.0, n: -1.0}, order)
-    return out
+            den = den * TruncatedSeries.from_dict(1, {0: 1.0, n: -1.0}, order)
+    return den.inverse()
 
 
 def character_ode_residual(variant: str, order: int,
@@ -343,10 +347,13 @@ def eisenstein_numeric(k: int, point: ModularPoint) -> complex:
 
 
 def rr_numeric(variant: str, point: ModularPoint) -> complex:
-    """Character value at the point, via the sum form."""
+    """Character value at the point, via the sum form.  The leading power is
+    e^(2 pi i h tau), h = 11/60 or -1/60, not a branch of q^h, so that
+    chi(tau + 1) = e^(2 pi i h) chi(tau)."""
     point.require_convergent()
     q = point.q
-    lead = q ** (11 / 60) if variant == "h0" else q ** (-1 / 60)
+    h = 11 / 60 if variant == "h0" else -1 / 60
+    lead = cmath.exp(2j * cmath.pi * h * point.tau)
     total = 0j
     n = 0
     poch = 1.0 + 0j

@@ -1,13 +1,20 @@
 """Exact-order truncated series arithmetic over complex coefficients.
 
-Exponents live on a rational grid num/denom with a single explicit
-denominator per series; mixed-denominator operations refine to the least
-common denominator.  Truncation order propagates pessimistically: a result
-never reports coefficients at or beyond the order implied by its inputs.
+A series is q^lead times coefficients on a 1/denom exponent grid: slot i
+holds the coefficient of q^(lead + i/denom), with ``lead`` and the
+truncation order ``trunc`` exact Fractions.  Every series is kept on the
+coarsest such grid, so the (2,5) character q^(11/60)(1 + q^2 + ...) and
+eta = q^(1/24)(1 - q - ...) are stored on the integer grid; shifting by
+q^e only moves ``lead`` and ``trunc``.  Sums and products spread their
+inputs onto the common finer step only where grids differ.  ``terms()``
+yields (exponent, coefficient) pairs, and the JSON form stores denom,
+lead, coeffs and trunc.  Truncation order propagates pessimistically: a
+result never reports coefficients at or beyond the order implied by its
+inputs.
 
-The carrier type is used for q-expansions (eta needs denom 24, theta 8,
-the 11/60- and -1/60-characters 60), for nu- and eps-expansions, and for
-local (x - X_s) expansions.
+The carrier type is used for q-expansions (eta, theta constants, the two
+characters), for nu- and eps-expansions, and for local (x - X_s)
+expansions.
 """
 
 from __future__ import annotations
@@ -44,67 +51,64 @@ def _as_fraction(x) -> Fraction:
 
 
 class TruncatedSeries:
-    """Finitely many complex coefficients on a rational exponent grid.
+    """Finitely many complex coefficients on one exponent grid.
 
-    Coefficients are stored contiguously from ``min_num``; the exponent of
-    slot ``i`` is ``(min_num + i)/denom``.  Exponents at or beyond
-    ``trunc_num/denom`` are unknown.  The leading stored coefficient is
-    nonzero unless the series is identically zero up to truncation.
+    Slot ``i`` of ``coeffs`` holds the coefficient of q^(lead + i/denom);
+    ``lead`` and ``trunc`` are exact Fractions and exponents at or beyond
+    ``trunc`` are unknown.  The constructor strips coefficients at or beyond
+    ``trunc``, makes the leading stored coefficient nonzero and lowers
+    ``denom`` to the coarsest 1/denom step (integer denom) that holds every
+    nonzero coefficient: q^(11/60) times an integer-step series has lead
+    11/60 and denom 1.  A series that is zero up to truncation stores
+    nothing, with lead = trunc and denom 1.
     """
 
-    __slots__ = ("denom", "min_num", "coeffs", "trunc_num")
+    __slots__ = ("denom", "lead", "coeffs", "trunc")
 
-    def __init__(self, denom: int, min_num: int, coeffs, trunc_num: int):
+    def __init__(self, denom: int, lead, coeffs, trunc):
         if denom < 1:
             raise SeriesError("denom must be a positive integer")
-        arr = np.asarray(coeffs, dtype=complex).ravel().copy()
-        # strip coefficients at/beyond the truncation order
-        keep = trunc_num - min_num
-        if keep < len(arr):
-            arr = arr[:max(keep, 0)]
-        # normalize: leading stored coefficient nonzero, or canonical zero
-        nz = np.nonzero(arr)[0]
+        lead, trunc = _as_fraction(lead), _as_fraction(trunc)
+        arr = np.asarray(coeffs, dtype=complex).ravel()
+        arr = arr[:max(math.ceil((trunc - lead) * denom), 0)]
+        nz = np.flatnonzero(arr)
         if len(nz) == 0:
-            min_num, arr = 0, np.zeros(0, dtype=complex)
+            denom, lead, arr = 1, trunc, arr[:0]
         else:
-            min_num += nz[0]
-            arr = arr[nz[0]:nz[-1] + 1]
+            step = math.gcd(int(denom), int(np.gcd.reduce(nz - nz[0])))
+            lead += Fraction(int(nz[0]), denom)
+            arr = arr[nz[0]:nz[-1] + 1:step]
+            denom //= step
         self.denom = int(denom)
-        self.min_num = int(min_num)
-        self.coeffs = arr
-        self.trunc_num = int(trunc_num)
+        self.lead = lead
+        self.coeffs = arr.copy()
+        self.trunc = trunc
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc, denom: int = 1) -> "TruncatedSeries":
-        tr = _as_fraction(trunc)
-        d = int(np.lcm(denom, tr.denominator))
-        return cls(d, 0, [], int(tr * d))
+    def zero(cls, trunc) -> "TruncatedSeries":
+        return cls(1, 0, [], trunc)
 
     @classmethod
-    def constant(cls, value, trunc, denom: int = 1) -> "TruncatedSeries":
-        tr = _as_fraction(trunc)
-        d = int(np.lcm(denom, tr.denominator))
-        return cls(d, 0, [value], int(tr * d))
+    def constant(cls, value, trunc) -> "TruncatedSeries":
+        return cls(1, 0, [value], trunc)
 
     @classmethod
     def monomial(cls, value, exponent, trunc) -> "TruncatedSeries":
-        e, tr = _as_fraction(exponent), _as_fraction(trunc)
-        d = int(np.lcm(e.denominator, tr.denominator))
-        return cls(d, int(e * d), [value], int(tr * d))
+        return cls(1, exponent, [value], trunc)
 
     @classmethod
     def from_dict(cls, denom: int, terms: dict, trunc_num: int) -> "TruncatedSeries":
-        if not terms:
-            return cls(denom, 0, [], trunc_num)
-        lo = min(terms)
-        arr = np.zeros(max(terms) - lo + 1, dtype=complex)
+        """Series from {num: coefficient of q^(num/denom)}, known below
+        q^(trunc_num/denom)."""
+        lo = min(terms, default=0)
+        arr = np.zeros(max(terms, default=-1) - lo + 1, dtype=complex)
         for num, val in terms.items():
             arr[num - lo] = val
-        return cls(denom, lo, arr, trunc_num)
+        return cls(denom, Fraction(lo, denom), arr, Fraction(trunc_num, denom))
 
     # ------------------------------------------------------------------
     # basic queries
@@ -115,45 +119,30 @@ class TruncatedSeries:
         return len(self.coeffs) == 0
 
     @property
-    def trunc(self) -> Fraction:
-        return Fraction(self.trunc_num, self.denom)
-
-    @property
     def lead_exponent(self) -> Fraction:
         """Leading exponent; for a zero series this is the truncation order."""
-        if self.is_zero:
-            return self.trunc
-        return Fraction(self.min_num, self.denom)
-
-    @property
-    def max_num(self) -> int:
-        return self.min_num + len(self.coeffs) - 1
+        return self.lead
 
     def coeff(self, exponent) -> complex:
         """Coefficient at a rational exponent; errors at/beyond truncation."""
         e = _as_fraction(exponent)
         if e >= self.trunc:
             raise SeriesError(f"exponent {e} is at/beyond truncation {self.trunc}")
-        num = e * self.denom
-        if num.denominator != 1:
-            return 0j
-        i = int(num) - self.min_num
-        if 0 <= i < len(self.coeffs):
-            return complex(self.coeffs[i])
+        i = (e - self.lead) * self.denom
+        if i.denominator == 1 and 0 <= i < len(self.coeffs):
+            return complex(self.coeffs[int(i)])
         return 0j
 
-    def terms(self) -> Iterator[tuple[int, complex]]:
-        for i, v in enumerate(self.coeffs):
-            if v != 0:
-                yield self.min_num + i, complex(v)
+    def terms(self) -> Iterator[tuple[Fraction, complex]]:
+        """(exponent, coefficient) for every nonzero stored coefficient."""
+        for i in np.flatnonzero(self.coeffs):
+            yield self.lead + Fraction(int(i), self.denom), complex(self.coeffs[i])
 
     def max_abs_coeff(self) -> float:
         return float(np.abs(self.coeffs).max()) if len(self.coeffs) else 0.0
 
     def __repr__(self) -> str:
-        head = ", ".join(
-            f"q^({n}/{self.denom})*{v:.6g}" for n, v in list(self.terms())[:4]
-        )
+        head = ", ".join(f"q^({e})*{v:.6g}" for e, v in list(self.terms())[:4])
         return (f"TruncatedSeries({head}{' + ...' if len(self.coeffs) > 4 else ''}"
                 f" + O(q^{self.trunc}))")
 
@@ -161,55 +150,59 @@ class TruncatedSeries:
     # grid management
     # ------------------------------------------------------------------
 
-    def refined(self, factor: int) -> "TruncatedSeries":
-        if factor == 1:
-            return self
-        arr = np.zeros(len(self.coeffs) * factor, dtype=complex)
-        arr[::factor] = self.coeffs
-        return TruncatedSeries(self.denom * factor, self.min_num * factor,
-                               arr, self.trunc_num * factor)
+    def _exponents(self) -> np.ndarray:
+        """Exponent of each slot, each rounded once from exact integers."""
+        n, d = self.lead.numerator, self.lead.denominator
+        return (n * self.denom + d * np.arange(len(self.coeffs))) / (d * self.denom)
 
-    @staticmethod
-    def aligned(a: "TruncatedSeries", b: "TruncatedSeries"):
-        d = int(np.lcm(a.denom, b.denom))
-        return a.refined(d // a.denom), b.refined(d // b.denom)
+    def _spread(self, denom: int) -> np.ndarray:
+        """Coefficients from q^lead on the finer step 1/denom, a multiple of
+        1/self.denom; for a nonzero series."""
+        f = denom // self.denom
+        if f == 1:
+            return self.coeffs
+        out = np.zeros((len(self.coeffs) - 1) * f + 1, dtype=complex)
+        out[::f] = self.coeffs
+        return out
 
     def truncated(self, trunc) -> "TruncatedSeries":
         tr = _as_fraction(trunc)
         if tr > self.trunc:
             raise SeriesError("cannot extend a truncated series")
-        d = int(np.lcm(self.denom, tr.denominator))
-        s = self.refined(d // self.denom)
-        return TruncatedSeries(s.denom, s.min_num, s.coeffs, int(tr * d))
+        return TruncatedSeries(self.denom, self.lead, self.coeffs, tr)
+
+    def shifted(self, exponent) -> "TruncatedSeries":
+        """Multiply by q^exponent."""
+        e = _as_fraction(exponent)
+        return TruncatedSeries(self.denom, self.lead + e, self.coeffs, self.trunc + e)
 
     # ------------------------------------------------------------------
     # ring operations
     # ------------------------------------------------------------------
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.denom, self.min_num, -self.coeffs, self.trunc_num)
+        return TruncatedSeries(self.denom, self.lead, -self.coeffs, self.trunc)
 
     def __add__(self, other) -> "TruncatedSeries":
         if np.isscalar(other):
-            other = TruncatedSeries.constant(other, self.trunc, self.denom)
-        a, b = TruncatedSeries.aligned(self, other)
-        tn = min(a.trunc_num, b.trunc_num)
-        if a.is_zero and b.is_zero:
-            return TruncatedSeries(a.denom, 0, [], tn)
-        los = [s.min_num for s in (a, b) if not s.is_zero]
-        his = [s.max_num for s in (a, b) if not s.is_zero]
-        lo, hi = min(los), max(his)
-        arr = np.zeros(hi - lo + 1, dtype=complex)
-        for s in (a, b):
-            if not s.is_zero:
-                arr[s.min_num - lo:s.max_num - lo + 1] += s.coeffs
-        return TruncatedSeries(a.denom, lo, arr, tn)
+            other = TruncatedSeries.constant(other, self.trunc)
+        trunc = min(self.trunc, other.trunc)
+        parts = [s for s in (self, other) if not s.is_zero]
+        if not parts:
+            return TruncatedSeries.zero(trunc)
+        lead = min(s.lead for s in parts)
+        d = math.lcm(*(math.lcm(s.denom, (s.lead - lead).denominator) for s in parts))
+        placed = [(int((s.lead - lead) * d), s._spread(d)) for s in parts]
+        arr = np.zeros(max(k + len(c) for k, c in placed), dtype=complex)
+        for k, c in placed:
+            arr[k:k + len(c)] += c
+        return TruncatedSeries(d, lead, arr, trunc)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "TruncatedSeries":
         if np.isscalar(other):
-            other = TruncatedSeries.constant(other, self.trunc, self.denom)
+            other = TruncatedSeries.constant(other, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncatedSeries":
@@ -218,17 +211,16 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if np.isscalar(other):
             # complex() once: a Fraction would otherwise make an object array
-            return TruncatedSeries(self.denom, self.min_num,
-                                   self.coeffs * complex(other), self.trunc_num)
-        a, b = TruncatedSeries.aligned(self, other)
-        # pessimistic truncation: min over inputs shifted by leading exponents
-        la = a.min_num if not a.is_zero else a.trunc_num
-        lb = b.min_num if not b.is_zero else b.trunc_num
-        tn = min(a.trunc_num + lb, b.trunc_num + la)
-        if a.is_zero or b.is_zero:
-            return TruncatedSeries(a.denom, 0, [], tn)
-        arr = np.convolve(a.coeffs, b.coeffs)
-        return TruncatedSeries(a.denom, a.min_num + b.min_num, arr, tn)
+            return TruncatedSeries(self.denom, self.lead,
+                                   self.coeffs * complex(other), self.trunc)
+        # pessimistic truncation: each input's order, shifted by the other's
+        # lead (a zero series leads at its truncation order)
+        trunc = min(self.trunc + other.lead, other.trunc + self.lead)
+        if self.is_zero or other.is_zero:
+            return TruncatedSeries.zero(trunc)
+        d = math.lcm(self.denom, other.denom)
+        arr = np.convolve(self._spread(d), other._spread(d))
+        return TruncatedSeries(d, self.lead + other.lead, arr, trunc)
 
     __rmul__ = __mul__
 
@@ -238,15 +230,14 @@ class TruncatedSeries:
             raise SeriesError("division by a series with no nonzero coefficient")
         c = self.coeffs[0]
         u = self.coeffs / c
-        m = self.trunc_num - self.min_num  # relative resolution of (1 + u)
+        m = math.ceil((self.trunc - self.lead) * self.denom)  # slots of (1 + u)
         v = np.zeros(m, dtype=complex)
         v[0] = 1.0
         for k in range(1, m):
             jmax = min(k, len(u) - 1)
             v[k] = -np.dot(u[1:jmax + 1], v[k - 1::-1][:jmax])
-        # 1/self = (1/c) q^{-e} (1+u)^{-1}; trunc = trunc - 2*lead
-        tn = self.trunc_num - 2 * self.min_num
-        return TruncatedSeries(self.denom, -self.min_num, v / c, tn)
+        # 1/self = (1/c) q^{-lead} (1+u)^{-1}; trunc = trunc - 2*lead
+        return TruncatedSeries(self.denom, -self.lead, v / c, self.trunc - 2 * self.lead)
 
     def __truediv__(self, other) -> "TruncatedSeries":
         if np.isscalar(other):
@@ -258,7 +249,7 @@ class TruncatedSeries:
 
     def pow_int(self, k: int) -> "TruncatedSeries":
         if k == 0:
-            return TruncatedSeries.constant(1.0, self.trunc, self.denom)
+            return TruncatedSeries.constant(1.0, self.trunc)
         if k < 0:
             return self.inverse().pow_int(-k)
         out, base, k = None, self, k
@@ -271,17 +262,17 @@ class TruncatedSeries:
         return out
 
     def pow_rational(self, p: int, q: int) -> "TruncatedSeries":
-        """self**(p/q) by exp((p/q) log(self/lead)), lifting the exponent grid."""
+        """self**(p/q) = c**(p/q) q^(lead p/q) exp((p/q) log(body)), where
+        self = c q^lead body and body leads with the constant 1."""
         if q == 1:
             return self.pow_int(p)
         if self.is_zero:
             raise SeriesError("rational power of zero series")
         r = Fraction(p, q)
-        lead_e = self.lead_exponent * r
         c = self.coeffs[0]
-        body = (self / TruncatedSeries.monomial(c, self.lead_exponent, self.trunc))
+        body = self.shifted(-self.lead) * (1.0 / c)
         out = (body.log() * float(r)).exp() * (c ** (p / q))
-        return out * TruncatedSeries.monomial(1.0, lead_e, out.trunc + lead_e)
+        return out.shifted(self.lead * r)
 
     def __pow__(self, k):
         if isinstance(k, int):
@@ -297,57 +288,40 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """Series exponential.  The constant part may be any finite number;
         all other exponents must be positive."""
-        if self.is_zero:
-            return TruncatedSeries.constant(1.0, self.trunc, self.denom)
-        if self.min_num < 0:
+        if self.lead < 0:
             raise SeriesError("exp requires exponents >= 0")
-        c0 = 0j
-        a = self
-        if a.min_num == 0:
-            c0 = a.coeffs[0]
-            a = a - TruncatedSeries.constant(c0, a.trunc, a.denom)
-        m = a.trunc_num
-        # recurrence from b' = a' b in q d/dq form, num-units
+        c0 = self.coeffs[0] if self.lead == 0 and not self.is_zero else 0j
+        a = self - c0
+        if a.is_zero:
+            return TruncatedSeries.constant(np.exp(c0), self.trunc)
+        # recurrence from b' = a' b in q d/dq form, on a's grid from q^0
+        d = math.lcm(a.denom, a.lead.denominator)
+        m = math.ceil(a.trunc * d)
+        k, c = int(a.lead * d), a._spread(d)
         aa = np.zeros(m, dtype=complex)
-        if not a.is_zero:
-            hi = min(a.max_num, m - 1)
-            aa[a.min_num:hi + 1] = a.coeffs[:hi - a.min_num + 1]
+        aa[k:k + len(c)] = c
         b = np.zeros(m, dtype=complex)
         b[0] = 1.0
         ja = np.arange(m) * aa
         for k in range(1, m):
             b[k] = np.dot(ja[1:k + 1], b[k - 1::-1][:k]) / k
-        return TruncatedSeries(self.denom, 0, b, m) * np.exp(c0)
+        return TruncatedSeries(d, 0, b, a.trunc) * np.exp(c0)
 
     def log(self) -> "TruncatedSeries":
-        """Series logarithm; requires leading term equal to the constant 1."""
-        if self.is_zero or self.min_num != 0:
+        """Series logarithm, the integral of qdq(self)/self; requires leading
+        term equal to the constant 1."""
+        if self.is_zero or self.lead != 0:
             raise SeriesError("log requires leading term 1 (factor the leading "
                               "monomial first)")
         if abs(self.coeffs[0] - 1.0) > 1e-13:
             raise SeriesError("log requires leading coefficient 1")
-        m = self.trunc_num
-        aa = np.zeros(m, dtype=complex)
-        hi = min(self.max_num, m - 1)
-        aa[0:hi + 1] = self.coeffs[:hi + 1]
-        b = np.zeros(m, dtype=complex)
-        for k in range(1, m):
-            b[k] = aa[k] - np.dot(np.arange(1, k) * b[1:k], aa[k - 1:0:-1]) / k
-        return TruncatedSeries(self.denom, 0, b, m)
+        g = self.qdq() * self.inverse()
+        return TruncatedSeries(g.denom, g.lead, g.coeffs / g._exponents(), g.trunc)
 
     def qdq(self) -> "TruncatedSeries":
-        """q d/dq: multiply the coefficient of q^(num/denom) by num/denom."""
-        scale = (np.arange(len(self.coeffs)) + self.min_num) / self.denom
-        return TruncatedSeries(self.denom, self.min_num,
-                               self.coeffs * scale, self.trunc_num)
-
-    def shifted(self, exponent) -> "TruncatedSeries":
-        """Multiply by q^exponent (pure grid shift)."""
-        e = _as_fraction(exponent)
-        d = int(np.lcm(self.denom, e.denominator))
-        s = self.refined(d // self.denom)
-        k = int(e * d)
-        return TruncatedSeries(d, s.min_num + k, s.coeffs, s.trunc_num + k)
+        """q d/dq: multiply the coefficient of q^e by e."""
+        return TruncatedSeries(self.denom, self.lead,
+                               self.coeffs * self._exponents(), self.trunc)
 
     # ------------------------------------------------------------------
     # serialization
@@ -356,18 +330,16 @@ class TruncatedSeries:
     def to_json(self) -> str:
         return json.dumps({
             "denom": self.denom,
-            "terms": [[n, v.real, v.imag] for n, v in self.terms()],
-            "trunc": f"{self.trunc_num}/{self.denom}",
+            "lead": str(self.lead),
+            "coeffs": [[v.real, v.imag] for v in self.coeffs.tolist()],
+            "trunc": str(self.trunc),
         })
 
     @classmethod
     def from_json(cls, text: str) -> "TruncatedSeries":
         obj = json.loads(text)
-        tn, td = obj["trunc"].split("/")
-        tr = Fraction(int(tn), int(td))
-        denom = int(obj["denom"])
-        terms = {int(n): complex(re, im) for n, re, im in obj["terms"]}
-        return cls.from_dict(denom, terms, int(tr * denom))
+        return cls(int(obj["denom"]), Fraction(obj["lead"]),
+                   [complex(re, im) for re, im in obj["coeffs"]], Fraction(obj["trunc"]))
 
 
 def coeff_distance(a: TruncatedSeries, b: TruncatedSeries) -> float:

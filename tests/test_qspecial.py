@@ -156,6 +156,13 @@ class TestRogersRamanujan:
         res = character_ode_residual(variant, 30)
         assert res.max_abs_coeff() < 1e-9
 
+    @pytest.mark.parametrize("variant", ["h0", "g0"])
+    @pytest.mark.parametrize("order", [30, 200])
+    def test_character_stored_on_integer_grid(self, variant, order):
+        # q^h (1 + ...) keeps h as its lead and its body on the integer grid
+        s = rogers_ramanujan(variant, order).series
+        assert s.denom == 1 and len(s.coeffs) <= order
+
     def test_character_ode_nonsolution(self):
         one = TruncatedSeries.constant(1.0, 30)
         res = character_ode_residual("h0", 30, f=one)
@@ -169,14 +176,14 @@ class TestNumericEvaluation:
         th2, th3, th4 = theta_constants(30)
         q = pt.q
         for i, s in ((2, th2), (3, th3), (4, th4)):
-            val = sum(v * q ** (Fraction(n, s.denom)) for n, v in s.terms())
+            val = sum(v * q ** e for e, v in s.terms())
             assert theta_numeric(i, pt) == pytest.approx(val, rel=1e-12)
 
     def test_eta_numeric_vs_series(self):
         pt = ModularPoint(1.1j)
         s = eta_series(40)
         q = pt.q
-        val = sum(v * q ** (Fraction(n, 24)) for n, v in s.terms())
+        val = sum(v * q ** e for e, v in s.terms())
         assert eta_numeric(pt) == pytest.approx(val, rel=1e-12)
 
     def test_guard(self):
@@ -187,8 +194,27 @@ class TestNumericEvaluation:
         pt = ModularPoint(1.3j)
         q = pt.q
         s = rogers_ramanujan("g0", 40).series
-        val = sum(v * q ** (Fraction(n, 60)) for n, v in s.terms())
+        val = sum(v * q ** e for e, v in s.terms())
         assert rr_numeric("g0", pt) == pytest.approx(val, rel=1e-10)
+
+    @pytest.mark.parametrize("variant", ["h0", "g0"])
+    def test_rr_numeric_translation_law(self, variant):
+        # chi(tau + 1) = e^(2 pi i h) chi(tau); a principal-branch q^h is
+        # 1-periodic in tau instead
+        h = Fraction(11, 60) if variant == "h0" else Fraction(-1, 60)
+        tau = 0.2 + 1.1j
+        chi = rr_numeric(variant, ModularPoint(tau))
+        moved = rr_numeric(variant, ModularPoint(tau + 1))
+        assert abs(moved - cmath.exp(2j * cmath.pi * h) * chi) < 1e-13 * abs(chi)
+
+    @pytest.mark.parametrize("variant", ["h0", "g0"])
+    def test_rr_numeric_vs_series_off_axis(self, variant):
+        # Re tau > 1/2, summed as e^(2 pi i tau e): q ** e would take the
+        # principal branch of q^(11/60) and q^(-1/60)
+        pt = ModularPoint(0.7 + 1.2j)
+        s = rogers_ramanujan(variant, 40).series
+        val = sum(v * cmath.exp(2j * cmath.pi * pt.tau * e) for e, v in s.terms())
+        assert rr_numeric(variant, pt) == pytest.approx(val, rel=1e-10)
 
 
 class TestHalfPeriods:

@@ -1,9 +1,13 @@
 """Tests for truncated-series arithmetic and order fitting."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcftlab.series import (
     OrderFit,
@@ -39,7 +43,7 @@ def test_fractional_exponent_product():
     a = TruncatedSeries.monomial(1.0, (1, 8), 4)
     b = TruncatedSeries.monomial(1.0, (1, 2), 4)
     p = a * b
-    assert p.denom == 8
+    assert (p.denom, p.lead, p.trunc) == (1, Fraction(5, 8), Fraction(33, 8))
     assert p.coeff((5, 8)) == 1.0
     assert p.lead_exponent == pytest.approx(5 / 8)
 
@@ -99,7 +103,7 @@ def test_fraction_scalar_matches_float():
     out = Fraction(11, 3600) * s
     ref = (11 / 3600) * s
     assert out.coeffs.dtype == complex
-    assert (out.denom, out.min_num, out.trunc_num) == (ref.denom, ref.min_num, ref.trunc_num)
+    assert (out.denom, out.lead, out.trunc) == (ref.denom, ref.lead, ref.trunc)
     assert np.array_equal(out.coeffs, ref.coeffs)
 
 
@@ -132,7 +136,7 @@ def test_pow_rational_exponent_grid():
 def test_shift_and_qdq():
     a = TruncatedSeries.from_dict(1, {0: 1.0, 1: 3.0}, 6)
     s = a.shifted((1, 24))
-    assert s.denom == 24
+    assert (s.denom, s.lead, s.trunc) == (1, Fraction(1, 24), Fraction(145, 24))
     assert s.coeff((1, 24)) == 1.0
     d = s.qdq()
     assert d.coeff((1, 24)) == pytest.approx(1 / 24)
@@ -144,6 +148,97 @@ def test_json_round_trip():
     b = TruncatedSeries.from_json(a.to_json())
     assert b.denom == a.denom and b.trunc == a.trunc
     assert coeff_distance(a, b) == 0.0
+
+
+# ----------------------------------------------------------------------
+# mixed exponent grids
+# ----------------------------------------------------------------------
+
+DENOMS = (1, 2, 3, 8, 24, 60)
+MIXED = settings(derandomize=True, deadline=None)
+
+
+def fractions(lo, hi):
+    """Rationals in [lo, hi] whose denominators are drawn from DENOMS."""
+    return st.sampled_from(DENOMS).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda n: Fraction(n, d)))
+
+
+@st.composite
+def mixed_series(draw, lead=fractions(-2, 2)):
+    """c0 q^lead (1 + small tail) on a 1/d grid: the tail is at most 0.4 of
+    the lead in sum, so inverses and logarithms stay of order one."""
+    d = draw(st.sampled_from(DENOMS))
+    c0 = cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    tail = draw(st.lists(st.complex_numbers(max_magnitude=0.1, allow_nan=False,
+                                            allow_infinity=False), max_size=4))
+    e = draw(lead)
+    trunc = e + Fraction(1 + len(tail) + draw(st.integers(0, 6)), d)
+    return TruncatedSeries(d, e, [c0] + tail, trunc)
+
+
+def assert_canonical(s):
+    """Leading coefficient nonzero, nothing at/beyond trunc, and no coarser
+    1/d grid holds the occupied slots."""
+    if s.is_zero:
+        assert (s.denom, s.lead) == (1, s.trunc)
+        return
+    slots = np.flatnonzero(s.coeffs)
+    assert slots[0] == 0 and slots[-1] == len(s.coeffs) - 1
+    assert math.gcd(s.denom, *(int(i) for i in slots)) == 1
+    assert s.lead + Fraction(len(s.coeffs) - 1, s.denom) < s.trunc
+
+
+def assert_close(a, b, tol=1e-12):
+    assert a.trunc == b.trunc
+    assert coeff_distance(a, b) <= tol
+    assert_canonical(a)
+
+
+@MIXED
+@given(a=mixed_series(), b=mixed_series(), c=mixed_series())
+def test_mixed_grid_ring_laws(a, b, c):
+    assert_close(a + b, b + a, 0.0)
+    assert_close(a * b, b * a)
+    assert_close((a + b) + c, a + (b + c))
+    assert_close((a * b) * c, a * (b * c))
+    assert_close(a * (b + c), a * b + a * c)
+
+
+@MIXED
+@given(a=mixed_series(), b=mixed_series())
+def test_mixed_grid_division_round_trip(a, b):
+    r = (a * b) / b
+    assert_close(r, a.truncated(r.trunc))
+    one = b * b.inverse()
+    assert one.trunc == b.trunc - b.lead
+    assert_close(one, TruncatedSeries.constant(1.0, one.trunc))
+
+
+@MIXED
+@given(g=mixed_series(lead=fractions(0, 1).filter(lambda e: e > 0)))
+def test_mixed_grid_exp_log(g):
+    f = 1 + g * 0.3
+    assert_canonical(f.log())
+    assert_close(f.log().exp(), f)
+
+
+@MIXED
+@given(a=mixed_series(), e=fractions(-2, 2), cut=fractions(0, 2))
+def test_shift_commutes_with_truncate(a, e, cut):
+    t = a.trunc - cut
+    left, right = a.shifted(e).truncated(t + e), a.truncated(t).shifted(e)
+    assert (left.denom, left.lead, left.trunc) == (right.denom, right.lead, right.trunc)
+    assert np.array_equal(left.coeffs, right.coeffs)
+    assert_canonical(left)
+
+
+@MIXED
+@given(a=mixed_series())
+def test_mixed_grid_json_round_trip(a):
+    b = TruncatedSeries.from_json(a.to_json())
+    assert (b.denom, b.lead, b.trunc) == (a.denom, a.lead, a.trunc)
+    assert np.array_equal(b.coeffs, a.coeffs)
 
 
 def test_order_fit_quadratic_exact():

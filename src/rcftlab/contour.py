@@ -15,7 +15,6 @@ factor y(X_s) = 0, so no sheet tracking is needed on the contour.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -164,14 +163,6 @@ class KIntegralReport:
     numeric: complex
     closed_form: complex
     rel_err: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "k": self.k,
-            "numeric": [self.numeric.real, self.numeric.imag],
-            "closed_form": [self.closed_form.real, self.closed_form.imag],
-            "rel_err": self.rel_err,
-        })
 
 
 def verify_k_integrals(curve, params, s: int,

@@ -8,11 +8,12 @@ arithmetic.
 
 The exact system is one 5x5 matrix, exact_matrix, which holds each of its
 coefficients once; exact_rhs applies it to a state.  The printed collision
-system is one matrix too, _matrix5: leading_matrix_2, leading_matrix_5,
-det3_residual and third_value_check all read it.
+system is one row table, _rows5, generic over the scalar type: _matrix5
+renders it in complex128 for leading_matrix_2, det3_residual and
+third_value_check, and leading_matrix_5 renders it in rationals.
 
 Conventions for the 5x5 collision matrix: the printed eigenvalue system
-(ubar I - M) v = 0 is taken as normative; its three bracket inputs are
+(ubar I - M) v = 0 is taken as normative; its bracket inputs are
 configuration data supplied by the caller (the text itself notes they are
 "not a number").  [p'''/p']_{-1} follows the printed X^{-1} part
 48 sum_{i != s,2} 1/(X_s - X_i); [(p'''/p')^2]_{-1} is read as the square
@@ -21,15 +22,19 @@ expansion (24 e_2 of the spectator reciprocals) since no display covers
 it.  The determinant factor (ubar - 13/10)(ubar - 1/2) + 3/25 has roots
 {11/10, 7/10}; the quoted "9/10" is reported as a flagged discrepancy.
 
-Geometric multiplicity of 7/10 (algebraic multiplicity 3): exact rational
-arithmetic on M - (7/10) I gives nullity 2 for generic brackets and 3
-exactly when the p4 bracket vanishes, for any p3.  Rows 1 and 2 are
-multiples of row 0 whatever the brackets, row 3 is independent of row 0
-(its last entry is 2), and row 4 - (3/10) row 3 is
-(3c p4/1280 + 7c p33/5760, 88 p33/5760, 0, 0, 0), which at c = -22/5 is a
-multiple of row 0 (-7/10, 2, 0, 0, 0) if and only if p4 = 0.  So the
-(20, 7, 0) eigenvector extends to the 5x5 and no logarithmic solution
-appears at p4 = 0; at p4 != 0 the 7/10 block carries a logarithm.
+Jordan data at c = -22/5: det(M - ubar I) = -(10 ubar - 11)^2
+(10 ubar - 7)^3 / 10^5 whatever the brackets.  In M - (7/10) I rows 1 and
+2 are multiples of row 0, row 3 is independent of row 0 (its last entry is
+2), and row 4 - (3/10) row 3 is
+(3c p4/1280 + 7c p33/5760, 88 p33/5760, 0, 0, 0), a multiple of row 0
+(-7/10, 2, 0, 0, 0) if and only if p4 = 0.  So 7/10 (algebraic
+multiplicity 3) has geometric multiplicity 3 at p4 = 0, where the
+(20, 7, 0) eigenvector extends to the 5x5, and 2 otherwise.  Every 4x4
+minor of M - (11/10) I is a multiple of p4, so the double 11/10 has
+geometric multiplicity 2 at p4 = 0 and is a 2x2 Jordan block otherwise.
+At p4 != 0 the printed matrix therefore predicts a logarithmic solution in
+both channels, 7/10 and 11/10; the 11/10 block is reported as a flagged
+discrepancy.  leading_matrix_5 reads this data exactly, in rationals.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -186,7 +192,7 @@ def indicial_quadratic(c: float) -> tuple[float, float]:
     """
     disc = cmath.sqrt(0.81 + 7.0 * c / 40.0)
     roots = sorted((0.9 + disc, 0.9 - disc), key=lambda r: (-r.real, -r.imag))
-    return tuple(r.real if abs(r.imag) < 1e-14 else r for r in roots)
+    return tuple(r.real if r.imag == 0 else r for r in roots)
 
 
 def frobenius_exponents(c: float) -> tuple:
@@ -201,11 +207,15 @@ def twist_exponent(h_chi: float, c: float) -> float:
 
 @dataclass(frozen=True)
 class CollisionBrackets:
-    """The three [.]_{-1} inputs of the 5x5 collision matrix."""
+    """The [.]_{-1} inputs of the 5x5 collision matrix."""
 
     p3: complex   # [p'''/p']_{-1}
     p4: complex   # [p''''/p']_{-1}
-    p33: complex  # [(p'''/p')^2]_{-1}, read as the square of the bracket
+
+    @property
+    def p33(self) -> complex:
+        """[(p'''/p')^2]_{-1}, read as the square of the p3 bracket."""
+        return self.p3 ** 2
 
 
 def collision_brackets(spectators, xs: complex = 0.0) -> CollisionBrackets:
@@ -213,91 +223,91 @@ def collision_brackets(spectators, xs: complex = 0.0) -> CollisionBrackets:
     spectator roots (the collision partner is not among them).
 
     p3 follows the printed X^{-1} part 48 sigma1; p4 = 24 e2 of the
-    spectator reciprocals comes from the collision Laurent expansion; p33
-    is the square of the p3 bracket.  With d_i = X_s - r_i, sigma1 and e2
-    of the 1/d_i are e_{m-1}(d)/e_m(d) and e_{m-2}(d)/e_m(d), so a
-    vanishing e2 comes out as an exact 0 rather than as rounded
-    reciprocals that fail to cancel.
+    spectator reciprocals comes from the collision Laurent expansion.  With
+    d_i = X_s - r_i, sigma1 and e2 of the 1/d_i are e_{m-1}(d)/e_m(d) and
+    e_{m-2}(d)/e_m(d), so a vanishing e2 comes out as an exact 0 rather
+    than as rounded reciprocals that fail to cancel.
     """
     m = len(spectators)
     e = _elementary_symmetric([xs - r for r in spectators], m)
     sigma1 = e[m - 1] / e[m]
     e2 = e[m - 2] / e[m] if m >= 2 else 0.0
-    p3 = 48.0 * sigma1
-    return CollisionBrackets(p3, 24.0 * e2, p3 ** 2)
+    return CollisionBrackets(48.0 * sigma1, 24.0 * e2)
 
 
 def leading_matrix_2(c: float) -> np.ndarray:
     """Euler-form matrix of the leading 2x2 system for (<1>, X <th>/p'):
     w' = (M/X) w, the (<1>, <th>) block of _matrix5 shifted by c/8 (u =
     ubar + c/8).  Its eigenvalues are the Frobenius exponents u."""
-    return _matrix5(CollisionBrackets(0.0, 0.0, 0.0), c)[:2, :2] + c / 8.0 * np.eye(2)
+    return _matrix5(CollisionBrackets(0.0, 0.0), c)[:2, :2] + c / 8.0 * np.eye(2)
+
+
+def _rows5(p3, p4, c, one):
+    """Rows of M with (ubar I - M) v = 0 matching the printed system rows.
+
+    Numerators and denominators are integers, so the scalars decide the
+    arithmetic: one = 1.0 gives floats, sympy Rationals exact entries and
+    sympy symbols symbolic ones.
+    """
+    p33 = p3 ** 2
+    return [
+        [0, 2, 0, 0, 0],
+        [7 * c / 80, 9 * one / 5, 0, 0, 0],
+        [7 * c / 240 * p3, 11 * one / 30 * p3, 7 * one / 10, 0, 0],
+        [-(c / 96 * p4 + c / 288 * p33), -p4 / 12, -p3 / 6, one / 2, 2],
+        [-(c / 40) * (p4 / 32 - p33 / 144),
+         -(one / 80) * (2 * p4 - 11 * one / 9 * p33),
+         -p3 / 20, -3 * one / 50, 13 * one / 10],
+    ]
 
 
 def _matrix5(br: CollisionBrackets, c: float) -> np.ndarray:
-    """M with (ubar I - M) v = 0 matching the printed system rows."""
-    p3, p4, p33 = br.p3, br.p4, br.p33
-    return np.array([
-        [0.0, 2.0, 0.0, 0.0, 0.0],
-        [7.0 * c / 80.0, 1.8, 0.0, 0.0, 0.0],
-        [7.0 * c / 240.0 * p3, 11.0 / 30.0 * p3, 0.7, 0.0, 0.0],
-        [-(c / 96.0 * p4 + c / 288.0 * p33), -p4 / 12.0, -p3 / 6.0, 0.5, 2.0],
-        [-(c / 40.0) * (p4 / 32.0 - p33 / 144.0),
-         -(1.0 / 80.0) * (2.0 * p4 - 11.0 / 9.0 * p33),
-         -p3 / 20.0, -0.06, 1.3],
-    ], dtype=complex)
+    """M in complex128."""
+    return np.array(_rows5(br.p3, br.p4, c, 1.0), dtype=complex)
 
 
 @dataclass(frozen=True)
 class IndicialData:
-    """Eigen decomposition of a residue matrix at a regular singular point."""
+    """Jordan data of a residue matrix at a regular singular point: exact
+    eigenvalues with their algebraic and geometric multiplicities, and one
+    eigenvector basis per eigenvalue as complex128 arrays."""
 
     matrix: np.ndarray
     eigenvalues: tuple
+    algebraic_multiplicities: tuple
     geometric_multiplicities: tuple
-    eigenvectors: tuple  # one basis list per distinct eigenvalue
+    eigenvectors: tuple  # one basis per distinct eigenvalue
 
-    def eigenvalue_near(self, target: float, tol: float = 1e-8):
+    def eigenvalue_near(self, target):
+        """(eigenvalue, geometric multiplicity, basis) of the eigenvalue
+        equal to target, compared exactly (pass a Fraction)."""
         for lam, gm, vecs in zip(self.eigenvalues, self.geometric_multiplicities,
                                  self.eigenvectors):
-            if abs(lam - target) < tol:
+            if lam == target:
                 return lam, gm, vecs
-        raise KeyError(f"no eigenvalue near {target}")
+        raise KeyError(f"no eigenvalue {target}")
 
 
-def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    w = v / v[i] * abs(v[i])
-    return w / np.linalg.norm(w)
+def leading_matrix_5(brackets: CollisionBrackets,
+                     c: float | Fraction = Fraction(-22, 5)) -> IndicialData:
+    """Exact Jordan data of the printed 5x5 collision matrix.
 
+    The rows are taken in rationals, at the binary values of the real and
+    imaginary parts of the brackets and at c (a float by its binary value),
+    and sympy's eigenvects reads them.  Eigenvalues are sympy numbers,
+    sorted by real then imaginary part; IndicialData.matrix is _matrix5 at
+    float(c).
+    """
+    import sympy
 
-def _eigen_analyze(m: np.ndarray, cluster_tol: float = 1e-8) -> IndicialData:
-    vals = np.linalg.eigvals(m)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    clusters: list[list[complex]] = []
-    for v in vals:
-        if clusters and abs(v - clusters[-1][0]) < cluster_tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    lams, gms, vecs = [], [], []
-    for cl in clusters:
-        lam = complex(np.mean(cl))
-        a = m - lam * np.eye(m.shape[0])
-        _, sv, vh = np.linalg.svd(a)
-        scale = max(sv[0], 1.0)
-        null_dim = int(np.sum(sv < 1e-10 * scale))
-        basis = [_normalize_phase(vh[-(k + 1)].conj()) for k in range(null_dim)]
-        lams.append(lam)
-        gms.append(null_dim)
-        vecs.append(tuple(basis))
-    return IndicialData(m, tuple(lams), tuple(gms), tuple(vecs))
-
-
-def leading_matrix_5(brackets: CollisionBrackets, c: float = -22.0 / 5.0) -> IndicialData:
-    """Eigen analysis of the printed 5x5 collision matrix."""
-    return _eigen_analyze(_matrix5(brackets, c))
+    p3, p4 = (sympy.Rational(z.real) + sympy.I * sympy.Rational(z.imag)
+              for z in map(complex, (brackets.p3, brackets.p4)))
+    m = sympy.Matrix(_rows5(p3, p4, sympy.Rational(c), sympy.Integer(1))).expand()
+    lams, ams, bases = zip(*sorted(m.eigenvects(), key=lambda t: (
+        complex(t[0]).real, complex(t[0]).imag)))
+    return IndicialData(_matrix5(brackets, float(c)), lams, ams, tuple(map(len, bases)),
+                        tuple(tuple(np.array(v, dtype=complex).ravel() for v in b)
+                              for b in bases))
 
 
 def determinant_factor_roots() -> dict:
@@ -317,7 +327,7 @@ def determinant_factor_roots() -> dict:
 def det3_residual(ubar: complex, p3_bracket: complex, c: float) -> complex:
     """det of the 3x3 system minus (ubar - 7/10)(ubar(ubar - 9/5) - 7c/40);
     the factorization oracle for the third-value claim."""
-    m = ubar * np.eye(3) - _matrix5(CollisionBrackets(p3_bracket, 0.0, 0.0), c)[:3, :3]
+    m = ubar * np.eye(3) - _matrix5(CollisionBrackets(p3_bracket, 0.0), c)[:3, :3]
     det = np.linalg.det(m)
     return det - (ubar - 0.7) * (ubar * (ubar - 1.8) - 7.0 * c / 40.0)
 
@@ -330,7 +340,7 @@ def third_value_check(c: float = -22.0 / 5.0) -> float:
     indicial_quadratic and the diagonal entry M[2, 2].  That entry carries
     no bracket and no c; it is read off _matrix5 (at zero brackets).
     """
-    return float(_matrix5(CollisionBrackets(0.0, 0.0, 0.0), c)[2, 2].real)
+    return float(_matrix5(CollisionBrackets(0.0, 0.0), c)[2, 2].real)
 
 
 # ----------------------------------------------------------------------

@@ -127,14 +127,6 @@ class RamificationSet:
     def x2(self) -> complex:
         return self.b0
 
-    def as_dict(self) -> dict:
-        def c(z):
-            return [float(z.real), float(z.imag)]
-        return {"X0": c(self.x0), "X1": c(self.x1), "X2": c(self.x2),
-                "X3": c(self.x3), "X4": c(self.x4), "X5": c(self.x5),
-                "b0": c(self.b0), "mode_agreement": self.mode_agreement,
-                "degenerate": self.degenerate}
-
 
 # ----------------------------------------------------------------------
 # genus-1 theta constants and modulus derivatives (qspecial's kernels in mpmath)

@@ -1,10 +1,14 @@
 """Tests for the ODE systems, indicial analysis, and monodromy."""
 
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -33,11 +37,13 @@ from rcftlab.odesys import (
     third_value_check,
     twist_exponent,
 )
+from rcftlab.odesys import _rows5
 from rcftlab.qspecial import ModularPoint, rr_numeric
 
 from test_curve import random_curve
 
 C25 = -22.0 / 5.0
+SEVEN_TENTHS, ELEVEN_TENTHS = Fraction(7, 10), Fraction(11, 10)
 
 
 @pytest.fixture
@@ -227,23 +233,23 @@ class TestLeadingMatrix5:
     def test_eigenvalues(self):
         data = leading_matrix_5(acceptance_brackets())
         assert isinstance(data, IndicialData)
-        lams = sorted(l.real for l in data.eigenvalues)
-        assert lams == pytest.approx([0.7, 1.1], abs=1e-10)
+        assert data.eigenvalues == (SEVEN_TENTHS, ELEVEN_TENTHS)
+        assert data.algebraic_multiplicities == (3, 2)
 
     def test_seven_tenths_geometric_multiplicity_2(self):
         # generic brackets (p4 != 0); at p4 = 0 the multiplicity is 3
         br = generic_brackets()
         assert br.p4 == pytest.approx(-36.0)
         data = leading_matrix_5(br)
-        lam, gm, vecs = data.eigenvalue_near(0.7)
+        lam, gm, vecs = data.eigenvalue_near(SEVEN_TENTHS)
         assert gm == 2
         m = data.matrix
         for v in vecs:
-            assert np.linalg.norm(m @ v - lam * v) < 1e-10 * np.linalg.norm(v)
+            assert np.linalg.norm(m @ v - complex(lam) * v) < 1e-10 * np.linalg.norm(v)
 
     def test_eigenvector_20_7_0(self):
         data = leading_matrix_5(acceptance_brackets())
-        lam, _, vecs = data.eigenvalue_near(0.7)
+        lam = complex(data.eigenvalue_near(SEVEN_TENTHS)[0])
         target = np.array([20.0, 7.0, 0.0, 0.0, 0.0], dtype=complex)
         m = data.matrix
         # complete (20,7,0,.,.) within the kernel: solve for the last two slots
@@ -267,16 +273,65 @@ class TestLeadingMatrix5:
         # geometric multiplicity equals algebraic multiplicity for every
         # repeated eigenvalue of the tested configuration
         data = leading_matrix_5(acceptance_brackets())
-        algebraic = {0.7: 3, 1.1: 2}
-        for lam, gm, _ in zip(data.eigenvalues, data.geometric_multiplicities,
-                              data.eigenvectors):
-            assert gm == algebraic[round(lam.real, 6)]
+        assert data.eigenvalues == (SEVEN_TENTHS, ELEVEN_TENTHS)
+        assert data.geometric_multiplicities == data.algebraic_multiplicities == (3, 2)
+
+    @pytest.mark.parametrize("spectators", [
+        [-1.0, 0.5, 2.0], [-1e3, 0.5e3, 2e3], [-1e5, 0.5e5, 2e5],
+        [-1.0, 0.5, 2.0 + 0.3j],
+    ], ids=["scale1", "scale1e3", "scale1e5", "complex"])
+    def test_jordan_data_at_nonzero_p4(self, spectators):
+        # p4 != 0 in every case (-3.6e-9 at scale 1e5); the Jordan data is
+        # exact, so neither the scale nor complex spectators change it
+        br = collision_brackets(spectators)
+        assert br.p4 != 0
+        data = leading_matrix_5(br)
+        assert data.eigenvalues == (SEVEN_TENTHS, ELEVEN_TENTHS)
+        assert data.algebraic_multiplicities == (3, 2)
+        assert data.geometric_multiplicities == (2, 1)
+        m = data.matrix
+        for lam, vecs in zip(data.eigenvalues, data.eigenvectors):
+            for v in vecs:
+                assert (np.linalg.norm(m @ v - complex(lam) * v)
+                        < 1e-12 * np.abs(m).max() * np.linalg.norm(v))
+
+    def test_printed_matrix_jordan_structure_symbolic(self):
+        # the module docstring's hand derivation, identically in the p3 and
+        # p4 brackets (p33 = p3^2) at c = -22/5
+        p3, p4, lam = sympy.symbols("p3 p4 lam")
+        m = sympy.Matrix(_rows5(p3, p4, sympy.Rational(-22, 5), sympy.Integer(1)))
+        eye = sympy.eye(5)
+        assert sympy.expand((m - lam * eye).det()
+                            + (10 * lam - 11) ** 2 * (10 * lam - 7) ** 3 / 10 ** 5) == 0
+        m7 = m - sympy.Rational(7, 10) * eye
+        m11 = m - sympy.Rational(11, 10) * eye
+        def rank(a):  # exact, over the rational functions of the brackets
+            return DomainMatrix.from_Matrix(a).to_field().rank()
+        assert rank(m7) == 3 and rank(m7.subs(p4, 0)) == 2
+        assert rank(m11) == 4 and rank(m11.subs(p4, 0)) == 3
+        # a polynomial in p4 is a multiple of p4 iff it vanishes at p4 = 0,
+        # so every 4x4 minor of M - 11/10 is a multiple of p4
+        at_p4_0 = m11.subs(p4, 0)
+        for rows, cols in itertools.product(itertools.combinations(range(5), 4),
+                                            repeat=2):
+            assert sympy.expand(at_p4_0.extract(list(rows), list(cols)).det()) == 0
 
     def test_determinant_factor_flagged(self):
         out = determinant_factor_roots()
         assert out["computed"] == pytest.approx((0.7, 1.1), abs=1e-12)
         assert out["quoted"] == (0.7, 0.9)
         assert out["flagged"]
+
+    def test_flagged_eleven_tenths_jordan_block(self):
+        # Flagged discrepancy, pinned as printed: at p4 != 0 the double
+        # eigenvalue 11/10 has one eigenvector, a 2x2 Jordan block, so the
+        # printed matrix predicts a logarithmic solution in the 11/10
+        # channel as well as in the 7/10 one; at p4 = 0 both are semisimple
+        data = leading_matrix_5(generic_brackets())
+        lam, gm, _ = data.eigenvalue_near(ELEVEN_TENTHS)
+        assert data.algebraic_multiplicities[data.eigenvalues.index(lam)] == 2
+        assert gm == 1
+        assert leading_matrix_5(acceptance_brackets()).eigenvalue_near(ELEVEN_TENTHS)[1] == 2
 
     def test_third_value(self):
         assert third_value_check(C25) == pytest.approx(0.7)

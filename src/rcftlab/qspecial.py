@@ -10,6 +10,13 @@ in :mod:`rcftlab.sewing` under one stopping rule, digits = 16 or dps: a theta
 sum stops at a shell past n = 1 below 10^-digits of the sum, an Eisenstein
 sum at a term below 10^-(digits+1) of it.  Float functions guard Im tau >= 0.8.
 
+The mpmath branch of the theta and Eisenstein kernels is memoized: one
+bounded LRU table per kernel, keyed on (i or k, tau, deriv, dps) with tau
+exactly as passed, so every sewing consumer of one modulus reads each value
+once.  Keying on dps keeps values of different precisions apart, and the
+values kept are immutable mpmath numbers.  The complex128 branch (dps None)
+serves claims with a fresh tau each and is not memoized.
+
 A documentation note on two displays that the implementation does not
 reproduce (both recorded in the verification suites as flagged cases
 rather than silently corrected):
@@ -23,6 +30,7 @@ rather than silently corrected):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -254,17 +262,34 @@ def jacobi_identity_residual(order: int) -> TruncatedSeries:
 # ----------------------------------------------------------------------
 
 #: complex128 stand-in for the mpmath context ``mp.mp``.  Each kernel takes dps
-#: last: None sums in complex128 (16 digits), k in mpmath at k digits, entering
-#: mp.workdps(k) unless it already runs at k digits (the float path enters none).
+#: last: None sums in complex128 (16 digits), k in mpmath at k digits, which
+#: ``_mp_memo`` runs in mp.workdps(k) (the float path enters none).
 _FLOAT = SimpleNamespace(mpmathify=complex, mpf=float, exp=cmath.exp, pi=cmath.pi)
 
+#: values the mpmath memo of each kernel keeps; a sewing round reads about 30
+_MEMO_SIZE = 256
 
+
+def _mp_memo(kernel):
+    """Memoize the mpmath branch of a genus-1 kernel: with dps given, the
+    kernel runs in mp.workdps(dps) once per positional argument tuple (tau as
+    passed, dps included) among the last _MEMO_SIZE; dps None runs as is."""
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def at_dps(*args):
+        with mp.workdps(args[-1]):
+            return kernel(*args)
+
+    @functools.wraps(kernel)
+    def call(*args):
+        return kernel(*args) if args[-1] is None else at_dps(*args)
+    call.cache_info = at_dps.cache_info
+    return call
+
+
+@_mp_memo
 def _theta_sum(i, tau, deriv, dps):
     """theta_i(0 | tau) or its deriv-th tau-derivative: shells m = 0, +-1,
     ... of e^{2 pi i (e tau + (m+a) b)} (2 pi i e)^deriv, e = (m+a)^2/2."""
-    if dps is not None and mp.mp.dps != dps:
-        with mp.workdps(dps):
-            return _theta_sum(i, tau, deriv, dps)
     ctx = _FLOAT if dps is None else mp.mp
     a, b = {2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}[i]
     tau, exp, pi = ctx.mpmathify(tau), ctx.exp, ctx.pi
@@ -285,11 +310,9 @@ def _theta_sum(i, tau, deriv, dps):
         n += 1
 
 
+@_mp_memo
 def _eisenstein_sum(k, tau, dps):
     """E_k(tau) = 1 + coef sum sigma_{k-1}(n) q^n for k in {2, 4, 6}."""
-    if dps is not None and mp.mp.dps != dps:
-        with mp.workdps(dps):
-            return _eisenstein_sum(k, tau, dps)
     ctx = _FLOAT if dps is None else mp.mp
     tau = ctx.mpmathify(tau)
     if tau.imag <= 0:

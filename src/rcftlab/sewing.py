@@ -9,7 +9,9 @@ expansion check.
 All numerics in this module run in mpmath working precision: the
 expansion residuals scale like nu^8 and fall far below double precision
 for the nu grids of interest (at tau = 1.5i the nu = 1e-2 residual is
-already ~1e-18).
+already ~1e-18).  The genus-1 theta and Eisenstein values come from
+qspecial's memoized mpmath kernels, so repeated calls at one modulus pair
+compute each value once.
 
 The direct sum walks square shells max(|n1|, |n2|) = s under the stopping
 rule of the genus-1 theta kernel: it stops at the first shell past s = 1
@@ -18,6 +20,17 @@ mass, not the signed shell sum, because a b = 1/2 characteristic makes
 terms of one shell alternate in sign.  The sum needs only a
 positive-definite Im Omega, which ``SewInput`` checks; nu itself may be
 large, and a real nu only moves phases.
+
+The lattice oracle for wp sums the truncated box |m|, |n| <= radius with
+the two-term multipole tail in remainder form.  With W = w^2, Z = z^2, a
+pair +-w contributes 2 (W + Z)/(W - Z)^2 - 2/W; its Z/W expansion
+6 Z/W^2 + 10 Z^2/W^3 + ... cancels against the truncated tail sums, which
+leaves
+
+    wp(z) = 1/Z + 3 Z S4 + 5 Z^2 S6 + sum_half 2 Z^3 (7 W - 5 Z)/(W^3 (W - Z)^2)
+
+with S4 = E4/720 and S6 = -E6/30240 the full lattice sums (derivation in
+``wp_lattice_oracle``).
 
 Two source displays are handled as flagged, not corrected:
 
@@ -266,6 +279,8 @@ def ramification_points(inp: SewInput, dps: int = DEFAULT_DPS) -> RamificationSe
 def x3_minus_x4_leading(inp: SewInput, dps: int = DEFAULT_DPS) -> complex:
     """Predicted leading value of X3 - X4:
     (theta3^4/theta2^4)(O11) nu^2 (pi^2/4) theta4^4(O11) theta2^4(O22)."""
+    if inp.nu is None:
+        raise ValueError("the X3 - X4 leading value needs nu")
     with mp.workdps(dps):
         nu = mp.mpmathify(inp.nu)
         _, (t2a, t3a, t4a) = _half_periods(inp.tau1, dps)
@@ -281,6 +296,8 @@ def x3_x5_relative_leading(inp: SewInput, corrected: bool = True,
     the default replaces it by theta4^4(Omega11), which is what the nu^2
     coefficient factorizes to (flagged in the verification suite).
     """
+    if inp.nu is None:
+        raise ValueError("the (X3 - X5)/X5 leading value needs nu")
     with mp.workdps(dps):
         nu = mp.mpmathify(inp.nu)
         t3b = theta_char_1d(3, inp.tau2, 0, dps) ** 4
@@ -354,28 +371,42 @@ def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
 
     sum over |m|,|n| <= radius of 1/(z-w)^2 - 1/w^2 plus
     3 z^2 (S4 - S4_trunc) + 5 z^4 (S6 - S6_trunc), where the full lattice
-    sums S4, S6 are known in closed form for this lattice.  The box is
-    symmetric under w -> -w, so the sum runs over one point of each pair
-    with summand 1/(z-w)^2 + 1/(z+w)^2 - 2/w^2; the truncated S4, S6 are
-    even and are twice their half-box sums.
+    sums S4 = E4/720 and S6 = -E6/30240 are known in closed form for this
+    lattice.  The box is symmetric under w -> -w, so with W = w^2, Z = z^2
+    one point of each pair carries
+
+        1/(z-w)^2 + 1/(z+w)^2 - 2/W = 2 (W + Z)/(W - Z)^2 - 2/W
+                                    = 6 Z/W^2 + 10 Z^2/W^3 + R(W),
+        R(W) = 2 Z^3 (7 W - 5 Z) / (W^3 (W - Z)^2),
+
+    since (1 + x)/(1 - x)^2 - 1 - 3x - 5x^2 = x^3 (7 - 5x)/(1 - x)^2 at
+    x = Z/W.  The first two terms sum to 3 Z S4_trunc + 5 Z^2 S6_trunc
+    (the truncated sums are twice their half-box sums) and cancel the
+    truncated parts of the tail, so the value is
+
+        1/Z + 3 Z S4 + 5 Z^2 S6 + sum over the half box of R(W):
+
+    the same truncated box and tail, one division per point, and small
+    remainders added rather than O(1/W) terms cancelled.  z = 0 is the
+    pole and raises.
     """
     with mp.workdps(dps):
         z = mp.mpmathify(z)
-        t = mp.mpmathify(tau)
-        total = 1 / z ** 2
-        s4 = mp.mpc(0)
-        s6 = mp.mpc(0)
+        if z == 0:
+            raise ValueError("wp has its pole at z = 0")
+        zz = z * z
+        step = 2j * mp.pi * mp.mpmathify(tau)
+        rem = mp.mpc(0)
         for m in range(radius + 1):
+            wm = 2j * mp.pi * m
             for n in range(-radius if m else 1, radius + 1):
-                w = 2j * mp.pi * (m + n * t)
-                total += 1 / (z - w) ** 2 + 1 / (z + w) ** 2 - 2 / w ** 2
-                w4 = w ** -4
-                s4 += w4
-                s6 += w4 / w / w
-        s4_full = _eisenstein_sum(4, tau, dps) / 720
-        s6_full = -_eisenstein_sum(6, tau, dps) / 30240
-        total += 3 * z ** 2 * (s4_full - 2 * s4) + 5 * z ** 4 * (s6_full - 2 * s6)
-        return total
+                w = wm + n * step
+                ww = w * w
+                d = ww - zz
+                rem += (7 * ww - 5 * zz) / (ww * ww * ww * d * d)
+        s4 = _eisenstein_sum(4, tau, dps) / 720
+        s6 = -_eisenstein_sum(6, tau, dps) / 30240
+        return 1 / zz + 3 * zz * s4 + 5 * zz ** 2 * s6 + 2 * zz ** 3 * rem
 
 
 # ----------------------------------------------------------------------

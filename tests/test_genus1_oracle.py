@@ -10,7 +10,13 @@ The oracle runs at 50 digits, above the 40 of the mpmath path.
 import mpmath as mp
 import pytest
 
-from rcftlab.qspecial import ModularPoint, eisenstein_numeric, theta_numeric
+from rcftlab.qspecial import (
+    ModularPoint,
+    _eisenstein_sum,
+    _theta_sum,
+    eisenstein_numeric,
+    theta_numeric,
+)
 from rcftlab.sewing import EQUIANHARMONIC_TAU, theta_char_1d, wp_coeffs
 
 ORACLE_DPS = 50
@@ -68,3 +74,44 @@ def test_eisenstein_numeric(tau):
     pt = ModularPoint(tau)
     assert rel_err(eisenstein_numeric(4, pt), e4, floor=1) < 1e-13
     assert rel_err(eisenstein_numeric(6, pt), e6, floor=1) < 1e-13
+
+
+class TestMemo:
+    """The mpmath kernels are memoized on (i or k, tau, deriv, dps)."""
+
+    TAU = 0.11 + 1.37j
+
+    def test_theta_keyed_on_dps(self):
+        # a value memoized at 40 digits must not answer a request for 60
+        theta_char_1d(3, self.TAU, 0, 40)
+        value = theta_char_1d(3, self.TAU, 0, 60)
+        with mp.workdps(60):
+            oracle = mp.jtheta(3, 0, mp.exp(1j * mp.pi * mp.mpmathify(self.TAU)))
+            assert abs(value - oracle) < 1e-55 * abs(oracle)
+
+    def test_eisenstein_keyed_on_dps(self):
+        wp_coeffs(self.TAU, dps=40)
+        c = wp_coeffs(self.TAU, dps=60)
+        with mp.workdps(60):
+            q = mp.exp(1j * mp.pi * mp.mpmathify(self.TAU))
+            t2, t3, t4 = (mp.jtheta(i, 0, q) ** 8 for i in (2, 3, 4))
+            e4 = (t2 + t3 + t4) / 2
+            assert abs(240 * c[1] - e4) < 1e-55 * abs(e4)
+
+    @pytest.mark.parametrize("kernel", [_theta_sum, _eisenstein_sum])
+    def test_bounded(self, kernel):
+        assert kernel.cache_info().maxsize is not None
+
+    def test_float_branch_not_memoized(self):
+        before = (_theta_sum.cache_info(), _eisenstein_sum.cache_info())
+        tau = 0.2 + 1.05j
+        assert isinstance(_theta_sum(2, tau, 1, None), complex)
+        assert isinstance(_eisenstein_sum(4, tau, None), complex)
+        assert (_theta_sum.cache_info(), _eisenstein_sum.cache_info()) == before
+
+    def test_repeat_is_a_hit(self):
+        tau = -0.23 + 1.61j
+        first = theta_char_1d(4, tau, 2)
+        hits = _theta_sum.cache_info().hits
+        assert theta_char_1d(4, tau, 2) is first
+        assert _theta_sum.cache_info().hits == hits + 1

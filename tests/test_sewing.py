@@ -221,6 +221,55 @@ class TestWeierstrass:
         with pytest.raises(ValueError):
             wp_eval(6.0, TAU)
 
+    @pytest.mark.parametrize("z, tau", [
+        (1.0, TAU),
+        (0.7 - 0.9j, -0.21 + 1.17j),
+        (0.98j * math.pi, 0.13 + 1.8j),  # near the half period pi i
+    ])
+    def test_oracle_vs_term_by_term_box(self, z, tau):
+        # the remainder form against the plain truncated sum over the same
+        # box, with S4, S6 from jtheta at 60 digits
+        radius = 5
+        with mp.workdps(60):
+            zz, t = mp.mpmathify(z), mp.mpmathify(tau)
+            q = mp.exp(1j * mp.pi * t)
+            t2, t3, t4 = (mp.jtheta(i, 0, q) ** 4 for i in (2, 3, 4))
+            s4 = (t2 ** 2 + t3 ** 2 + t4 ** 2) / 2 / 720
+            s6 = -(t2 + t3) * (t3 + t4) * (t4 - t2) / 2 / 30240
+            ref = 1 / zz ** 2
+            for m in range(-radius, radius + 1):
+                for n in range(-radius, radius + 1):
+                    if (m, n) != (0, 0):
+                        w = 2j * mp.pi * (m + n * t)
+                        ref += 1 / (zz - w) ** 2 - 1 / w ** 2
+                        s4 -= w ** -4
+                        s6 -= w ** -6
+            ref += 3 * zz ** 2 * s4 + 5 * zz ** 4 * s6
+            value = wp_lattice_oracle(z, tau, radius=radius)
+            assert abs(value - ref) < 1e-35 * abs(ref)
+
+    def test_pair_remainder_identity(self):
+        sympy = pytest.importorskip("sympy")
+        z, w = sympy.symbols("z w")
+        Z, W = z ** 2, w ** 2
+        pair = 1 / (z - w) ** 2 + 1 / (z + w) ** 2 - 2 / W - 6 * Z / W ** 2 - 10 * Z ** 2 / W ** 3
+        rem = 2 * Z ** 3 * (7 * W - 5 * Z) / (W ** 3 * (W - Z) ** 2)
+        assert sympy.simplify(pair - rem) == 0
+
+    def test_oracle_pole_raises(self):
+        with pytest.raises(ValueError, match="pole"):
+            wp_lattice_oracle(0, TAU)
+
+
+@pytest.mark.parametrize("leading", [
+    x3_minus_x4_leading,
+    x3_x5_relative_leading,
+    lambda inp: x3_x5_relative_leading(inp, corrected=False),
+])
+def test_leading_values_need_nu(leading):
+    with pytest.raises(ValueError, match="needs nu"):
+        leading(SewInput(TAU, TAU))
+
 
 class TestCoordinates:
     def test_eps_to_zero_limit(self):

@@ -8,6 +8,12 @@ closed-form k = 0, 1, 3 integrals of the coincident two-point function,
 the k = 2 auxiliary quantity that closes the exact ODE system, and the
 scalar curvature integrals of the regularized metric.
 
+Root-local quantities integrate over default_spec_for_root, the circle of
+a quarter of the nearest-root distance with 512 nodes.  Only btilde takes
+its circle as an argument, so that a node-doubling check can pass a second
+one.  Each contour makes one two_point call on the array of its nodes, so
+the coefficients of B are formed once per contour.
+
 Everything integrated here is Galois even: with one argument pinned to a
 ramification point the y1 y2 part of the two-point function carries a
 factor y(X_s) = 0, so no sheet tracking is needed on the contour.
@@ -26,6 +32,7 @@ from .curve import (
     HyperCurve,
     b_sym_coeffs,
     two_point,
+    two_point_regular,
     vartheta,
 )
 
@@ -36,7 +43,6 @@ __all__ = [
     "node_doubling_error",
     "default_spec_for_root",
     "theta_laurent",
-    "k_integral_numeric",
     "k_integral_closed",
     "verify_k_integrals",
     "btilde",
@@ -62,21 +68,13 @@ class ContourSpec:
         if self.nodes < 64:
             raise ValueError("at least 64 trapezoid nodes required")
 
-    def validate_against(self, marked_points) -> None:
-        """Radius must stay below half the distance to any marked point."""
-        for p in marked_points:
-            d = abs(complex(p) - self.center)
-            if d == 0:
-                continue
-            if self.radius >= 0.5 * d:
-                raise ValueError(
-                    f"radius {self.radius} >= half distance {0.5 * d:.4g} to {p}")
 
-
-def default_spec_for_root(curve: HyperCurve, s: int, nodes: int = 512) -> ContourSpec:
-    """Quarter of the nearest-root distance around X_s."""
+def default_spec_for_root(curve: HyperCurve, s: int) -> ContourSpec:
+    """Quarter of the nearest-root distance around X_s, default nodes."""
+    # sized first: nearest_other_root_distance rejects an out-of-range s,
+    # which roots[s] would wrap or report as an IndexError
     radius = 0.25 * curve.nearest_other_root_distance(s)
-    return ContourSpec(curve.roots[s], radius, nodes)
+    return ContourSpec(curve.roots[s], radius)
 
 
 def cauchy_coefficient(f, spec: ContourSpec, k):
@@ -107,33 +105,24 @@ def node_doubling_error(f, spec: ContourSpec, k: int) -> float:
 # one-point Laurent data
 # ----------------------------------------------------------------------
 
-def theta_laurent(curve: HyperCurve, params: CorrelatorParams, s: int, k: int,
-                  spec: ContourSpec | None = None) -> complex:
-    """Laurent coefficient of <theta> about X_s: zero for k < 0, else the
-    Taylor coefficient <theta>^(k)(X_s)/k!."""
-    spec = spec or default_spec_for_root(curve, s)
-    return cauchy_coefficient(lambda x: vartheta(curve, params, x), spec, k)
+def theta_laurent(curve: HyperCurve, params: CorrelatorParams, s: int, k: int) -> complex:
+    """Laurent coefficient of <theta> about X_s on the default circle: zero
+    for k < 0, else the Taylor coefficient <theta>^(k)(X_s)/k!."""
+    return cauchy_coefficient(lambda x: vartheta(curve, params, x),
+                              default_spec_for_root(curve, s), k)
 
 
 # ----------------------------------------------------------------------
 # coincident two-point integrals
 # ----------------------------------------------------------------------
 
-def _even_coefficients(curve, params, s, k, spec):
+def _even_coefficients(curve, params, s, k, spec=None):
     """Circle coefficients of order k (one order or a sequence) of the even
-    two-point function with one argument at X_s."""
+    two-point function with one argument at X_s; one two_point call on all
+    nodes, so B is formed once."""
     spec = spec or default_spec_for_root(curve, s)
-    bc = b_sym_coeffs(curve, params)
     xs = curve.roots[s]
-    return cauchy_coefficient(lambda x: two_point(curve, params, x, xs, bc).even,
-                              spec, k)
-
-
-def k_integral_numeric(curve, params, s: int, k: int,
-                       spec: ContourSpec | None = None) -> complex:
-    """(2/p'_{X_s}) oint <theta_{X_s} theta_x>/(x - X_s)^{k+1} dx/(2 pi i)."""
-    raw = _even_coefficients(curve, params, s, k, spec)
-    return 2.0 / curve.p_prime_at_root(s) * raw
+    return cauchy_coefficient(lambda x: two_point(curve, params, x, xs).even, spec, k)
 
 
 def k_integral_closed(curve, params, s: int, k: int) -> complex:
@@ -165,12 +154,14 @@ class KIntegralReport:
     rel_err: float
 
 
-def verify_k_integrals(curve, params, s: int,
-                       spec: ContourSpec | None = None) -> list[KIntegralReport]:
-    """Numeric-vs-closed-form reports for k = 0, 1, 3; the two-point
-    integrand is evaluated once for all three."""
+def verify_k_integrals(curve, params, s: int) -> list[KIntegralReport]:
+    """Numeric-vs-closed-form reports for k = 0, 1, 3 on the default circle.
+
+    numeric = (2/p'_{X_s}) oint <theta_{X_s} theta_x>/(x - X_s)^{k+1} dx/(2 pi i);
+    the two-point integrand is evaluated once for all three orders.
+    """
     out = []
-    raws = _even_coefficients(curve, params, s, (0, 1, 3), spec)
+    raws = _even_coefficients(curve, params, s, (0, 1, 3))
     p1 = curve.p_prime_at_root(s)
     for k, raw in zip((0, 1, 3), raws):
         num = 2.0 / p1 * raw
@@ -223,7 +214,6 @@ def btilde_printed_display(curve, params, s: int) -> complex:
     It does not reproduce the quadrature value for the model implemented
     here and is kept only as the flagged cross-reference.
     """
-    from .curve import two_point_regular
     c, z = params.c, params.z
     xs = curve.roots[s]
     p1 = curve.p_prime_at_root(s)
@@ -232,10 +222,8 @@ def btilde_printed_display(curve, params, s: int) -> complex:
     th1 = vartheta(curve, params, xs, 1)
     th2 = vartheta(curve, params, xs, 2)
     th3 = vartheta(curve, params, xs, 3)
-    spec = default_spec_for_root(curve, s)
-    bc = b_sym_coeffs(curve, params)
-    d2r = 2.0 * cauchy_coefficient(
-        lambda x: two_point_regular(curve, params, x, s, bc), spec, 2)
+    d2r = 2.0 * cauchy_coefficient(lambda x: two_point_regular(curve, params, x, s),
+                                   default_spec_for_root(curve, s), 2)
     val = ((c / 192.0) * (p3 ** 2 / p1 / 3.0 + 0.5 * p2 * p4 / p1 + p5 / 60.0) * z
            + p4 / p1 * th / 24.0
            + (3.0 * p3 / p1 + (p2 / p1) ** 2) * th1 / 20.0

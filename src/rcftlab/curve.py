@@ -13,6 +13,11 @@ The one-parameter family B11 -> B11 + t shifts B by -(t/2)(x1 - x2)^2,
 which is why the separately quoted "C (x1-x2)^2" term of the Galois-even
 part is absorbed into B11 here.  Sheets of y = sqrt(p) are tracked by
 explicit sign tags; there are no global branch cuts.
+
+Derivatives are exact: HyperCurve.dp and the polynomial models reject a
+negative order.  This layer sits below contour and imports none of it;
+quadrature over these models (Laurent coefficients, sampled Schwarzians)
+belongs to contour or to its callers.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "HyperCurve",
     "CorrelatorParams",
     "TwoPointValue",
-    "schwarzian",
     "omega_s",
     "f_pair",
     "admissible_graphs",
@@ -50,6 +54,8 @@ MIN_ROOT_RATIO = 1e-8
 
 
 def _poly_der(a: np.ndarray, k: int = 1) -> np.ndarray:
+    if k < 0:
+        raise ValueError(f"derivative order {k} is negative")
     for _ in range(k):
         if len(a) <= 1:
             return np.zeros(1, dtype=complex)
@@ -105,6 +111,8 @@ class HyperCurve:
 
     def dp(self, x: complex, k: int = 1) -> complex:
         """k-th derivative at x; zero beyond the polynomial degree."""
+        if k < 0:
+            raise ValueError(f"derivative order {k} is negative")
         if k > self.n:
             return 0j
         return polyval(x, self._dpolys[k])
@@ -132,13 +140,6 @@ class HyperCurve:
         e = _elementary_symmetric(w, self.n - 1)
         return [0j] + [math.factorial(k) * p1 * e[k - 1]
                        for k in range(1, self.n + 1)]
-
-    def dp_at_root(self, s: int, k: int) -> complex:
-        """p^(k)(X_s) = k! p'(X_s) e_{k-1}(1/(X_s - X_i)), exact sum form."""
-        if k < 0:
-            raise ValueError(f"derivative order {k} is negative")
-        derivs = self._root_derivatives(s)
-        return derivs[k] if k <= self.n else 0j
 
     def y(self, x: complex, sheet: int = +1) -> complex:
         """Principal square root of p(x) with an explicit sheet sign."""
@@ -180,29 +181,8 @@ def _elementary_symmetric(values, m: int) -> list[complex]:
 
 
 # ----------------------------------------------------------------------
-# generic analytic helpers
+# root sums and the pair function
 # ----------------------------------------------------------------------
-
-def schwarzian(f, x: complex, step: float | None = None) -> complex:
-    """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2 at x.
-
-    A HyperCurve uses exact polynomial derivatives.  A callable is sampled
-    on the circle |z - x| = ``step`` (it must be analytic on and inside
-    it): it is called once, on the numpy array of the circle's nodes, and
-    contour.cauchy_coefficient turns the samples into Taylor coefficients,
-    which keeps the third-derivative noise far below plain stencils.
-    """
-    if isinstance(f, HyperCurve):
-        return f.schwarzian_p(x)
-    if step is None:
-        raise ValueError("sampled Schwarzian needs a step (circle radius)")
-    from .contour import ContourSpec, cauchy_coefficient  # contour imports curve
-    # the Taylor coefficients f^(k)(x)/k! for k = 1, 2, 3
-    a1, a2, a3 = cauchy_coefficient(f, ContourSpec(x, step), (1, 2, 3))
-    if a1 == 0:
-        raise ValueError("Schwarzian undefined where f' vanishes")
-    return 6.0 * a3 / a1 - 1.5 * (2.0 * a2 / a1) ** 2
-
 
 def omega_s(curve: HyperCurve, s: int, xi: complex = 1.0) -> complex:
     """omega_s = sum_{t != s} xi/(X_s - X_t)."""
@@ -268,14 +248,6 @@ class CorrelatorParams:
         lead = -(self.c / 32.0) * (self._curve_n ** 2 - 1) * self._curve_a0 * self.z
         if abs(self.theta_coeffs[-1] - lead) > 1e-9 * max(1.0, abs(lead)):
             raise ValueError("leading theta coefficient violates the large-x law")
-
-    def check_third_derivative_law(self, curve: HyperCurve) -> float:
-        """n=5 restatement: 6 c3 = -(3c/80) p^(5) Z.  Returns the residual."""
-        if curve.n != 5:
-            raise ValueError("third-derivative law is the n=5 statement")
-        lhs = 6.0 * self.theta_coeffs[3]
-        rhs = -(3 * self.c / 80.0) * curve.dp(0.0, 5) * self.z
-        return abs(lhs - rhs)
 
 
 def vartheta(curve: HyperCurve, params: CorrelatorParams, x: complex,
@@ -379,8 +351,8 @@ def b_sym_coeffs(curve: HyperCurve, params: CorrelatorParams) -> dict:
     }
 
 
-def b_poly(curve, params, x1, x2, coeffs: dict | None = None) -> complex:
-    k = coeffs if coeffs is not None else b_sym_coeffs(curve, params)
+def b_poly(curve, params, x1, x2) -> complex:
+    k = b_sym_coeffs(curve, params)
     e1, e2 = x1 + x2, x1 * x2
     return (k["1"] + k["e1"] * e1 + k["e2"] * e2 + k["e1^2"] * e1 ** 2
             + k["e1e2"] * e1 * e2 + k["e2^2"] * e2 ** 2)
@@ -407,8 +379,7 @@ def _odd_additive(curve, params, x1, x2) -> complex:
 
 
 def two_point(curve: HyperCurve, params: CorrelatorParams,
-              x1: complex, x2: complex,
-              _bcoeffs: dict | None = None) -> TwoPointValue:
+              x1: complex, x2: complex) -> TwoPointValue:
     """<theta theta> for n = 5, split into even part and y1 y2 coefficient.
 
     even: (c/4) p1 p2/d^4 Z + (c/32) p1' p2'/d^2 Z
@@ -432,20 +403,19 @@ def two_point(curve: HyperCurve, params: CorrelatorParams,
             + 0.5 * (p1v * t2 + p2v * t1) / d ** 2
             + (7.0 / 50.0) * (curve.dp(x1, 2) * t2 + curve.dp(x2, 2) * t1)
             + (21.0 * c / 4000.0) * curve.dp(x1, 2) * curve.dp(x2, 2) * z
-            + b_poly(curve, params, x1, x2, _bcoeffs))
+            + b_poly(curve, params, x1, x2))
     odd = ((c / 8.0) * (p1v + p2v) / d ** 4 * z
            + 0.5 * (t1 + t2) / d ** 2
            + _odd_additive(curve, params, x1, x2))
     return TwoPointValue(even, odd)
 
 
-def two_point_regular(curve, params, x: complex, s: int,
-                      _bcoeffs: dict | None = None) -> complex:
+def two_point_regular(curve, params, x: complex, s: int) -> complex:
     """<theta_{X_s} theta_x>_r: the even two-point value with the
     singular OPE content (c/32) f^2 Z + (1/4) f (<th_x> + <th_Xs>)
     removed, f = p(x)/(x - X_s)^2."""
     xs = curve.roots[s]
-    tp = two_point(curve, params, x, xs, _bcoeffs)
+    tp = two_point(curve, params, x, xs)
     f = curve.p(x) / (x - xs) ** 2
     return (tp.even - (params.c / 32.0) * f ** 2 * params.z
             - 0.25 * f * (vartheta(curve, params, x) + vartheta(curve, params, xs)))

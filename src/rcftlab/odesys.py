@@ -372,17 +372,15 @@ def integrate_path(rhs, y0, waypoints, rtol: float = 1e-10, atol: float = 1e-12)
     return {"endpoint": y}
 
 
-def _circle_waypoints(radius: float, segments: int = 24, center: complex = 0.0):
-    """A closed polygon inscribed in the circle; homotopic to the loop."""
-    return [center + radius * cmath.exp(2j * cmath.pi * k / segments)
-            for k in range(segments + 1)]
+def _circle_waypoints(radius: float):
+    """A closed 24-gon inscribed in |X| = radius; homotopic to the loop."""
+    return [radius * cmath.exp(2j * cmath.pi * k / 24) for k in range(25)]
 
 
-def euler_monodromy(a_matrix: np.ndarray, radius: float = 0.5,
-                    rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
+def euler_monodromy(a_matrix: np.ndarray, radius: float = 0.5) -> np.ndarray:
     """Monodromy of w' = (A/X) w around the origin: the fundamental matrix
     Y' = (A/X) Y, Y = I at the start, integrated in one solve; equals
-    e^{2 pi i A} for constant A."""
+    e^{2 pi i A} for constant A.  Integrated at rtol 1e-12, atol 1e-14."""
     a = np.asarray(a_matrix, dtype=complex)
     n = a.shape[0]
 
@@ -390,7 +388,7 @@ def euler_monodromy(a_matrix: np.ndarray, radius: float = 0.5,
         return (a @ y.reshape(n, n) / x).ravel()
 
     y0 = np.eye(n, dtype=complex).ravel()
-    end = integrate_path(rhs, y0, _circle_waypoints(radius), rtol, atol)["endpoint"]
+    end = integrate_path(rhs, y0, _circle_waypoints(radius), 1e-12, 1e-14)["endpoint"]
     return end.reshape(n, n)
 
 

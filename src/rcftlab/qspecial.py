@@ -334,10 +334,8 @@ def _eisenstein_sum(k, tau, dps):
 
 
 def _half_periods(tau, dps):
-    """(xi0, xi1, xi2) and (theta2^4, theta3^4, theta4^4); see weierstrass_e_values."""
-    if dps is not None and mp.mp.dps != dps:
-        with mp.workdps(dps):
-            return _half_periods(tau, dps)
+    """(xi0, xi1, xi2) and (theta2^4, theta3^4, theta4^4); see weierstrass_e_values.
+    With dps set, the caller is already at that working precision."""
     t2, t3, t4 = (_theta_sum(i, tau, 0, dps) ** 4 for i in (2, 3, 4))
     return ((t4 - t2) / 12.0, (t2 + t3) / 12.0, (-t3 - t4) / 12.0), (t2, t3, t4)
 

@@ -341,11 +341,19 @@ def wp_coeffs(tau, nterms: int = 14, dps: int = DEFAULT_DPS) -> list:
 
 
 def _min_lattice_norm(tau) -> float:
-    t = complex(tau)
-    cands = [abs(2 * math.pi * complex(m, 0) + 2 * math.pi * n * complex(t))
-             for m in range(-2, 3) for n in range(-2, 3) if (m, n) != (0, 0)]
-    # lattice is 2 pi i (m + n tau); modulus is the same as 2 pi |m + n tau|
-    return min(cands)
+    """Shortest nonzero |w| on the lattice 2 pi i (Z + tau Z), by
+    Lagrange-Gauss reduction of the basis (1, tau): the answer does not
+    depend on which basis of the lattice tau names."""
+    u, v = 1.0 + 0j, complex(tau)
+    if v.imag <= 0:
+        raise ValueError(f"the lattice needs Im tau > 0, got {v}")
+    if abs(v) < abs(u):
+        u, v = v, u
+    while True:
+        v -= round((v * u.conjugate()).real / abs(u) ** 2) * u
+        if abs(v) >= abs(u):
+            return 2 * math.pi * abs(u)
+        u, v = v, u
 
 
 def wp_eval(z, tau, coeffs=None, dps: int = DEFAULT_DPS):
@@ -413,12 +421,22 @@ def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
 # almost global coordinates
 # ----------------------------------------------------------------------
 
-def _coord_factor(x, am, atm):
-    """1 + a1 e^4 (x^2 - 2 at1) + a2 e^6 (x^3 - 5 at1 x - 3 at2); the eps
-    powers are folded into am = (a1 eps^4, a2 eps^6)."""
-    a1e, a2e = am
-    at1, at2 = atm
-    return 1 + a1e * (x ** 2 - 2 * at1) + a2e * (x ** 3 - 5 * at1 * x - 3 * at2)
+def _coordinate_maps(inp: SewInput, e, dps):
+    """wp Laurent data (c1, c2) of the two tori and the maps x -> X and
+    x-hat -> X-hat of the almost-global coordinates,
+
+        X = x / (1 + a1 e^4 (x^2 - 2 at1) + a2 e^6 (x^3 - 5 at1 x - 3 at2)),
+
+    with a_m = c2[m] from the second torus and at_m = c1[m] from the
+    first; X-hat swaps the tori.  Called at working precision dps."""
+    c1 = wp_coeffs(inp.tau1, dps=dps)
+    c2 = wp_coeffs(inp.tau2, dps=dps)
+    e4, e6 = e ** 4, e ** 6
+
+    def coord(x, a, at):
+        return x / (1 + a[1] * e4 * (x ** 2 - 2 * at[1])
+                    + a[2] * e6 * (x ** 3 - 5 * at[1] * x - 3 * at[2]))
+    return c1, c2, lambda x: coord(x, c2, c1), lambda xh: coord(xh, c1, c2)
 
 
 def _check_annulus(z, eps):
@@ -441,17 +459,10 @@ def almost_global_coords(inp: SewInput, z, dps: int = DEFAULT_DPS):
     _check_annulus(z, eps)
     with mp.workdps(dps):
         e = mp.mpf(eps)
-        c1 = wp_coeffs(inp.tau1, dps=dps)
-        c2 = wp_coeffs(inp.tau2, dps=dps)
-        at = (c1[1], c1[2])
-        am = (c2[1], c2[2])
+        c1, c2, coord, coord_hat = _coordinate_maps(inp, e, dps)
         z = mp.mpmathify(z)
-        zh = e / z
-        P = wp_eval(z, inp.tau1, c1, dps)
-        Ph = wp_eval(zh, inp.tau2, c2, dps)
-        X = P / _coord_factor(P, (am[0] * e ** 4, am[1] * e ** 6), at)
-        Xh = Ph / _coord_factor(Ph, (at[0] * e ** 4, at[1] * e ** 6), am)
-        return X, Xh
+        return (coord(wp_eval(z, inp.tau1, c1, dps)),
+                coord_hat(wp_eval(e / z, inp.tau2, c2, dps)))
 
 
 def coords_residual(inp: SewInput, z, dps: int = DEFAULT_DPS) -> float:
@@ -478,21 +489,12 @@ def lft_image_check(inp: SewInput, k_hat: int = 0, dps: int = DEFAULT_DPS) -> di
         raise ValueError("lft check expects eps in [1e-3, 0.1]")
     with mp.workdps(dps):
         e = mp.mpf(eps)
-        c1 = wp_coeffs(inp.tau1, dps=dps)
-        c2 = wp_coeffs(inp.tau2, dps=dps)
-        at = (c1[1], c1[2])
-        am = (c2[1], c2[2])
+        _, _, coord, coord_hat = _coordinate_maps(inp, e, dps)
         (xi0, xi1, xi2), (t2, t3, t4) = _half_periods(inp.tau1, dps)
-        (xh0, xh1, xh2), _ = _half_periods(inp.tau2, dps)
-        amc = (am[0] * e ** 4, am[1] * e ** 6)
-        atc = (at[0] * e ** 4, at[1] * e ** 6)
-        X0 = xi0 / _coord_factor(xi0, amc, at)
-        X1 = xi1 / _coord_factor(xi1, amc, at)
-        X2 = xi2 / _coord_factor(xi2, amc, at)
+        X0, X1, X2 = coord(xi0), coord(xi1), coord(xi2)
         if max(abs(X0 - X1), abs(X1 - X2), abs(X0 - X2)) < mp.mpf("1e-30"):
             raise ValueError("coincident normalization points")
-        xh = (xh0, xh1, xh2)[k_hat]
-        Xh = xh / _coord_factor(xh, atc, am)
+        Xh = coord_hat(_half_periods(inp.tau2, dps)[0][k_hat])
 
         def moebius(x):
             return (X1 - X2) / (X1 - X0) * (x - X0) / (x - X2)

@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from rcftlab.contour import theta_laurent
+from rcftlab.contour import ContourSpec, cauchy_coefficient, theta_laurent
 from rcftlab.curve import (
     CENTRAL_CHARGE_25,
     CorrelatorParams,
@@ -23,7 +23,6 @@ from rcftlab.curve import (
     omega_s,
     psi_prime_closed,
     psi_value,
-    schwarzian,
     two_point,
     vartheta,
 )
@@ -79,9 +78,20 @@ class TestHyperCurve:
 
     def test_dp_at_root_sum_formula(self, curve):
         for s in range(curve.n):
+            derivs = curve._root_derivatives(s)
             for k in range(1, curve.n + 1):
-                assert curve.dp_at_root(s, k) == pytest.approx(
-                    curve.dp(curve.roots[s], k), rel=1e-9)
+                assert derivs[k] == pytest.approx(curve.dp(curve.roots[s], k), rel=1e-9)
+
+    def test_negative_derivative_order_rejected(self, curve, params):
+        # a negative order must not wrap to the top derivative or fall
+        # through to the undifferentiated value
+        x = 0.3 + 0.1j
+        with pytest.raises(ValueError, match="negative"):
+            curve.dp(x, -1)
+        with pytest.raises(ValueError, match="negative"):
+            vartheta(curve, params, x, deriv=-1)
+        with pytest.raises(ValueError, match="negative"):
+            beta_value(curve, params, x, deriv=-2)
 
     def test_root_index_out_of_range(self):
         # a negative index must not wrap to the last root
@@ -92,7 +102,7 @@ class TestHyperCurve:
             with pytest.raises(ValueError, match="out of range"):
                 cv.p_prime_at_root(s)
             with pytest.raises(ValueError, match="out of range"):
-                cv.dp_at_root(s, 2)
+                cv._root_derivatives(s)
             with pytest.raises(ValueError, match="out of range"):
                 cv.nearest_other_root_distance(s)
             with pytest.raises(ValueError, match="out of range"):
@@ -141,14 +151,13 @@ class TestFPair:
 
 
 class TestSchwarzian:
-    def test_moebius_killed(self):
-        f = lambda x: (2 * x + 1) / (x - 3)
-        assert abs(schwarzian(f, 0.5 + 0.1j, step=0.25)) < 1e-9
-
     def test_polynomial_vs_fd(self, curve):
+        # exact derivatives against Taylor coefficients p^(k)(x)/k! sampled
+        # on the circle |z - x| = 0.5
         x = 0.9 - 0.4j
-        exact = schwarzian(curve, x)
-        fd = schwarzian(curve.p, x, step=0.5)
+        exact = curve.schwarzian_p(x)
+        a1, a2, a3 = cauchy_coefficient(curve.p, ContourSpec(x, 0.5), (1, 2, 3))
+        fd = 6.0 * a3 / a1 - 1.5 * (2.0 * a2 / a1) ** 2
         assert abs(exact - fd) < 1e-6 * max(1.0, abs(exact))
 
     def test_bivariate_expansion_order(self, curve):
@@ -186,9 +195,6 @@ class TestCorrelatorParams:
         lead = params.theta_coeffs[-1]
         assert lead == pytest.approx(-(c / 32) * (n * n - 1) * curve.a0 * params.z,
                                      rel=1e-12)
-
-    def test_third_derivative_law(self, curve, params):
-        assert params.check_third_derivative_law(curve) < 1e-9
 
     def test_violating_leading_coefficient_rejected(self, curve):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Every name a layer exports in ``__all__`` exists in that layer, and no
-layer imports sympy at module level."""
+"""Every name a layer exports in ``__all__`` exists in that layer, no
+layer imports sympy at module level, and every layer imports only layers
+below it."""
 
 import ast
 import importlib
@@ -8,6 +9,17 @@ import inspect
 import pytest
 
 LAYERS = ("series", "qspecial", "curve", "contour", "odesys", "sewing")
+
+#: the layers each layer may import: series < qspecial < curve < contour
+#: < odesys, and sewing sits on qspecial and series only
+LOWER = {
+    "series": set(),
+    "qspecial": {"series"},
+    "curve": {"series", "qspecial"},
+    "contour": {"series", "qspecial", "curve"},
+    "odesys": {"series", "qspecial", "curve", "contour"},
+    "sewing": {"series", "qspecial"},
+}
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -27,3 +39,31 @@ def test_sympy_imported_lazily(layer):
     modules += [node.module or "" for node in tree.body
                 if isinstance(node, ast.ImportFrom)]
     assert not [m for m in modules if m.split(".")[0] == "sympy"]
+
+
+def _rcftlab_imports(tree):
+    """Layer names of every rcftlab import in the tree, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # from .x import ... names x; from . import x names x
+            names = [node.module] if node.module else [a.name for a in node.names]
+            names = [f"rcftlab.{n}" for n in names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "rcftlab":
+                names = [f"rcftlab.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "rcftlab":
+                yield parts[1] if len(parts) > 1 else ""
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_order(layer):
+    # module level or inside a function, an import may only reach down
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"rcftlab.{layer}")))
+    assert sorted(set(_rcftlab_imports(tree)) - LOWER[layer]) == []

@@ -221,6 +221,20 @@ class TestWeierstrass:
         with pytest.raises(ValueError):
             wp_eval(6.0, TAU)
 
+    def test_disc_guard_independent_of_lattice_basis(self):
+        # 3 + 0.25i and 0.25i name one lattice, whose shortest vector is
+        # 2 pi 0.25i; a basis-dependent guard let z = 1.5 through at
+        # 3 + 0.25i and returned 80.29 where the lattice sum gives 199.52
+        for tau in (3 + 0.25j, 0.25j):
+            with pytest.raises(ValueError, match="convergence disc"):
+                wp_eval(1.5, tau)
+        a, b = wp_eval(0.5, 3 + 0.25j), wp_eval(0.5, 0.25j)
+        assert abs(a - b) < 1e-30
+        assert float(a.real) == pytest.approx(4.315798376967321, rel=1e-14)
+        # a real tau spans no lattice, even with Laurent data passed in
+        with pytest.raises(ValueError, match="Im tau > 0"):
+            wp_eval(0.5, 2.0, wp_coeffs(TAU))
+
     @pytest.mark.parametrize("z, tau", [
         (1.0, TAU),
         (0.7 - 0.9j, -0.21 + 1.17j),

@@ -14,6 +14,12 @@ its circle as an argument, so that a node-doubling check can pass a second
 one.  Each contour makes one two_point call on the array of its nodes, so
 the coefficients of B are formed once per contour.
 
+Point data are read from curve, never recomputed here: <theta> and its
+derivatives from CorrelatorParams.theta, and X_s from HyperCurve.root(s),
+which rejects an index outside 0 <= s < n.  The three closed forms take
+p^(k)(X_s) from the spectator differences (HyperCurve._root_derivatives,
+the route exact_matrix takes) through one helper, _taylor_at_root.
+
 Everything integrated here is Galois even: with one argument pinned to a
 ramification point the y1 y2 part of the two-point function carries a
 factor y(X_s) = 0, so no sheet tracking is needed on the contour.
@@ -33,7 +39,6 @@ from .curve import (
     b_sym_coeffs,
     two_point,
     two_point_regular,
-    vartheta,
 )
 
 __all__ = [
@@ -71,10 +76,7 @@ class ContourSpec:
 
 def default_spec_for_root(curve: HyperCurve, s: int) -> ContourSpec:
     """Quarter of the nearest-root distance around X_s, default nodes."""
-    # sized first: nearest_other_root_distance rejects an out-of-range s,
-    # which roots[s] would wrap or report as an IndexError
-    radius = 0.25 * curve.nearest_other_root_distance(s)
-    return ContourSpec(curve.roots[s], radius)
+    return ContourSpec(curve.root(s), 0.25 * curve.nearest_other_root_distance(s))
 
 
 def cauchy_coefficient(f, spec: ContourSpec, k):
@@ -108,8 +110,7 @@ def node_doubling_error(f, spec: ContourSpec, k: int) -> float:
 def theta_laurent(curve: HyperCurve, params: CorrelatorParams, s: int, k: int) -> complex:
     """Laurent coefficient of <theta> about X_s on the default circle: zero
     for k < 0, else the Taylor coefficient <theta>^(k)(X_s)/k!."""
-    return cauchy_coefficient(lambda x: vartheta(curve, params, x),
-                              default_spec_for_root(curve, s), k)
+    return cauchy_coefficient(params.theta, default_spec_for_root(curve, s), k)
 
 
 # ----------------------------------------------------------------------
@@ -120,20 +121,25 @@ def _even_coefficients(curve, params, s, k, spec=None):
     """Circle coefficients of order k (one order or a sequence) of the even
     two-point function with one argument at X_s; one two_point call on all
     nodes, so B is formed once."""
+    xs = curve.root(s)
     spec = spec or default_spec_for_root(curve, s)
-    xs = curve.roots[s]
     return cauchy_coefficient(lambda x: two_point(curve, params, x, xs).even, spec, k)
+
+
+def _taylor_at_root(curve, params, s):
+    """X_s, (p'(X_s), ..., p^(5)(X_s)) and (<th>, ..., <th>^(3))(X_s): the
+    point data of the closed forms.  The p^(k) come from the spectator
+    differences, the route exact_matrix takes."""
+    if curve.n != 5:
+        raise ValueError("closed forms are the n=5 statement")
+    xs = curve.root(s)
+    return xs, curve._root_derivatives(s)[1:], [params.theta(xs, k) for k in range(4)]
 
 
 def k_integral_closed(curve, params, s: int, k: int) -> complex:
     """Closed forms of the k = 0, 1, 3 integrals."""
     c, z = params.c, params.z
-    xs = curve.roots[s]
-    p1 = curve.p_prime_at_root(s)
-    p2, p3, p4, p5 = (curve.dp(xs, j) for j in (2, 3, 4, 5))
-    th = vartheta(curve, params, xs)
-    th1 = vartheta(curve, params, xs, 1)
-    th2 = vartheta(curve, params, xs, 2)
+    _, (p1, p2, p3, p4, p5), (th, th1, th2, _) = _taylor_at_root(curve, params, s)
     if k == 0:
         return ((c / 20.0) * (p3 / 3.0 + (7.0 / 16.0) * p2 ** 2 / p1) * z
                 + 0.9 * (p2 / p1) * th + 0.3 * th1)
@@ -189,11 +195,7 @@ def btilde_taylor_closed(curve, params, s: int) -> complex:
     route to the contour quadrature.
     """
     c, z = params.c, params.z
-    xs = curve.roots[s]
-    p1 = curve.p_prime_at_root(s)
-    p2, p4, p5 = (curve.dp(xs, j) for j in (2, 4, 5))
-    th = vartheta(curve, params, xs)
-    th2 = vartheta(curve, params, xs, 2)
+    xs, (p1, p2, _, p4, p5), (th, _, th2, _) = _taylor_at_root(curve, params, s)
     k = b_sym_coeffs(curve, params)
     # x^2 coefficient of B(x, X_s) in the e-basis
     b_x2 = k["e1^2"] + k["e1e2"] * xs + k["e2^2"] * xs ** 2
@@ -215,13 +217,7 @@ def btilde_printed_display(curve, params, s: int) -> complex:
     here and is kept only as the flagged cross-reference.
     """
     c, z = params.c, params.z
-    xs = curve.roots[s]
-    p1 = curve.p_prime_at_root(s)
-    p2, p3, p4, p5 = (curve.dp(xs, j) for j in (2, 3, 4, 5))
-    th = vartheta(curve, params, xs)
-    th1 = vartheta(curve, params, xs, 1)
-    th2 = vartheta(curve, params, xs, 2)
-    th3 = vartheta(curve, params, xs, 3)
+    _, (p1, p2, p3, p4, p5), (th, th1, th2, th3) = _taylor_at_root(curve, params, s)
     d2r = 2.0 * cauchy_coefficient(lambda x: two_point_regular(curve, params, x, s),
                                    default_spec_for_root(curve, s), 2)
     val = ((c / 192.0) * (p3 ** 2 / p1 / 3.0 + 0.5 * p2 * p4 / p1 + p5 / 60.0) * z

@@ -14,6 +14,13 @@ which is why the separately quoted "C (x1-x2)^2" term of the Galois-even
 part is absorbed into B11 here.  Sheets of y = sqrt(p) are tracked by
 explicit sign tags; there are no global branch cuts.
 
+Each piece of point data has one owner.  <theta>^(k)(x) is
+CorrelatorParams.theta, read from a derivative table that each params
+object builds on first use, once; beta_poly_coeffs reads the same table.
+X_s is HyperCurve.root(s), the one place where a root index is checked.
+The p^(k)(X_s) come from the spectator differences X_s - X_t, which read
+X_s through it (HyperCurve.p_prime_at_root and _root_derivatives).
+
 Derivatives are exact: HyperCurve.dp and the polynomial models reject a
 negative order.  This layer sits below contour and imports none of it;
 quadrature over these models (Laurent coefficients, sampled Schwarzians)
@@ -39,9 +46,20 @@ __all__ = [
     "TwoPointValue",
     "omega_s",
     "f_pair",
+    "psi_value",
+    "psi_prime_closed",
+    "beta_poly_coeffs",
+    "beta_value",
+    "beta_prime_closed",
+    "beta_third_closed",
+    "b_sym_coeffs",
+    "b_poly",
+    "two_point",
+    "two_point_regular",
     "admissible_graphs",
     "count_cycles",
     "graph_weight_terms",
+    "assemble_two_point_graphs",
 ]
 
 #: central charge of the (2,5) minimal model
@@ -104,10 +122,7 @@ class HyperCurve:
     # -- evaluation ----------------------------------------------------
 
     def p(self, x: complex) -> complex:
-        out = self.a0 + 0j
-        for r in self.roots:
-            out *= (x - r)
-        return out
+        return math.prod((x - r for r in self.roots), start=self.a0 + 0j)
 
     def dp(self, x: complex, k: int = 1) -> complex:
         """k-th derivative at x; zero beyond the polynomial degree."""
@@ -117,13 +132,16 @@ class HyperCurve:
             return 0j
         return polyval(x, self._dpolys[k])
 
-    def _root_differences(self, s: int) -> list[complex]:
-        """[X_s - X_i for i != s], in root order.  Every root-local quantity
-        reads X_s through here, so this is where an index outside
-        0 <= s < n is rejected."""
+    def root(self, s: int) -> complex:
+        """X_s.  Every root-local quantity reads X_s through here, so this is
+        where an index outside 0 <= s < n is rejected rather than wrapped."""
         if not 0 <= s < self.n:
             raise ValueError(f"root index {s} out of range")
-        xs = self.roots[s]
+        return self.roots[s]
+
+    def _root_differences(self, s: int) -> list[complex]:
+        """[X_s - X_i for i != s], in root order."""
+        xs = self.root(s)
         return [xs - r for i, r in enumerate(self.roots) if i != s]
 
     def p_prime_at_root(self, s: int) -> complex:
@@ -184,9 +202,9 @@ def _elementary_symmetric(values, m: int) -> list[complex]:
 # root sums and the pair function
 # ----------------------------------------------------------------------
 
-def omega_s(curve: HyperCurve, s: int, xi: complex = 1.0) -> complex:
-    """omega_s = sum_{t != s} xi/(X_s - X_t)."""
-    return xi * sum(1.0 / d for d in curve._root_differences(s))
+def omega_s(curve: HyperCurve, s: int) -> complex:
+    """omega_s = sum_{t != s} 1/(X_s - X_t)."""
+    return sum(1.0 / d for d in curve._root_differences(s))
 
 
 def f_pair(curve: HyperCurve, x1: complex, x2: complex,
@@ -249,13 +267,19 @@ class CorrelatorParams:
         if abs(self.theta_coeffs[-1] - lead) > 1e-9 * max(1.0, abs(lead)):
             raise ValueError("leading theta coefficient violates the large-x law")
 
+    @cached_property
+    def _theta_table(self) -> list[np.ndarray]:
+        """Ascending coefficients of <theta>, <theta'>, ..., ending with the
+        first identically zero derivative; built on first use, once."""
+        cs = np.array(self.theta_coeffs, dtype=complex)
+        return [_poly_der(cs, k) for k in range(len(cs) + 1)]
 
-def vartheta(curve: HyperCurve, params: CorrelatorParams, x: complex,
-             deriv: int = 0) -> complex:
-    """<theta>(x) polynomial model, or its x-derivative."""
-    cs = np.array(params.theta_coeffs, dtype=complex)
-    cs = _poly_der(cs, deriv) if deriv else cs
-    return polyval(x, cs)
+    def theta(self, x: complex, k: int = 0) -> complex:
+        """<theta>^(k)(x) of the polynomial model; zero beyond its degree.
+        x may be a numpy array."""
+        if k < 0:
+            raise ValueError(f"derivative order {k} is negative")
+        return polyval(x, self._theta_table[min(k, len(self.theta_coeffs))])
 
 
 def psi_value(curve: HyperCurve, params: CorrelatorParams, x: complex) -> complex:
@@ -265,9 +289,9 @@ def psi_value(curve: HyperCurve, params: CorrelatorParams, x: complex) -> comple
     p0, p1, p2, p3 = (curve.dp(x, k) for k in range(4))
     sp = p1 * p3 - 1.5 * p2 ** 2  # (p')^2 S(p) without the division
     return (-(c / 480.0) * sp * z
-            + 0.2 * (p2 * vartheta(curve, params, x)
-                     - 0.5 * p1 * vartheta(curve, params, x, 1)
-                     - p0 * vartheta(curve, params, x, 2)))
+            + 0.2 * (p2 * params.theta(x)
+                     - 0.5 * p1 * params.theta(x, 1)
+                     - p0 * params.theta(x, 2)))
 
 
 def psi_prime_closed(curve: HyperCurve, params: CorrelatorParams, x: complex) -> complex:
@@ -276,9 +300,9 @@ def psi_prime_closed(curve: HyperCurve, params: CorrelatorParams, x: complex) ->
     c, z = params.c, params.z
     p1, p2, p3, p4 = (curve.dp(x, k) for k in range(1, 5))
     return (-(c / 480.0) * (p1 * p4 - 2.0 * p2 * p3) * z
-            + 0.2 * p3 * vartheta(curve, params, x)
-            + 0.1 * p2 * vartheta(curve, params, x, 1)
-            - 0.3 * p1 * vartheta(curve, params, x, 2))
+            + 0.2 * p3 * params.theta(x)
+            + 0.1 * p2 * params.theta(x, 1)
+            - 0.3 * p1 * params.theta(x, 2))
 
 
 # -- beta and the symmetric polynomial B -------------------------------
@@ -293,8 +317,7 @@ def beta_poly_coeffs(curve: HyperCurve, params: CorrelatorParams) -> np.ndarray:
         raise ValueError("beta model is the n=5 statement")
     c, z = params.c, params.z
     P = [curve._dpolys[k] for k in range(6)]
-    th = np.array(params.theta_coeffs, dtype=complex)
-    th1, th2 = _poly_der(th), _poly_der(th, 2)
+    th, th1, th2 = params._theta_table[:3]
     # at n = 5 each of the six products has degree 6, so they add directly
     out = (z * (-(7 * c / 960.0) * np.convolve(P[1], P[3])
                 + (91 * c / 16000.0) * np.convolve(P[2], P[2])
@@ -318,9 +341,9 @@ def beta_prime_closed(curve, params, x) -> complex:
     p0, p1, p2, p3, p4, p5 = (curve.dp(x, k) for k in range(6))
     return (z * ((49 * c / 12000.0) * p2 * p3 - (c / 480.0) * p1 * p4
                  + (c / 300.0) * p0 * p5)
-            + 0.2 * p1 * vartheta(curve, params, x, 2)
-            + 0.07 * p2 * vartheta(curve, params, x, 1)
-            - (2.0 / 25.0) * p3 * vartheta(curve, params, x))
+            + 0.2 * p1 * params.theta(x, 2)
+            + 0.07 * p2 * params.theta(x, 1)
+            - (2.0 / 25.0) * p3 * params.theta(x))
 
 
 def beta_third_closed(curve, params, x) -> complex:
@@ -328,9 +351,9 @@ def beta_third_closed(curve, params, x) -> complex:
     c, z = params.c, params.z
     p2, p3, p4, p5 = (curve.dp(x, k) for k in range(2, 6))
     return (z * ((61 * c / 6000.0) * p3 * p4 - (23 * c / 1600.0) * p2 * p5)
-            + (13.0 / 50.0) * p3 * vartheta(curve, params, x, 2)
-            - 0.09 * p4 * vartheta(curve, params, x, 1)
-            - (2.0 / 25.0) * p5 * vartheta(curve, params, x))
+            + (13.0 / 50.0) * p3 * params.theta(x, 2)
+            - 0.09 * p4 * params.theta(x, 1)
+            - (2.0 / 25.0) * p5 * params.theta(x))
 
 
 def b_sym_coeffs(curve: HyperCurve, params: CorrelatorParams) -> dict:
@@ -375,7 +398,7 @@ def _odd_additive(curve, params, x1, x2) -> complex:
     """-( (c/16)(p1'''' + p2'''')/24 + (1/8)(<th1''> + <th2''>) )."""
     c = params.c
     return -((c / 16.0) * (curve.dp(x1, 4) + curve.dp(x2, 4)) / 24.0 * params.z
-             + 0.125 * (vartheta(curve, params, x1, 2) + vartheta(curve, params, x2, 2)))
+             + 0.125 * (params.theta(x1, 2) + params.theta(x2, 2)))
 
 
 def two_point(curve: HyperCurve, params: CorrelatorParams,
@@ -397,7 +420,7 @@ def two_point(curve: HyperCurve, params: CorrelatorParams,
     c, z = params.c, params.z
     d = x1 - x2
     p1v, p2v = curve.p(x1), curve.p(x2)
-    t1, t2 = vartheta(curve, params, x1), vartheta(curve, params, x2)
+    t1, t2 = params.theta(x1), params.theta(x2)
     even = ((c / 4.0) * p1v * p2v / d ** 4 * z
             + (c / 32.0) * curve.dp(x1, 1) * curve.dp(x2, 1) / d ** 2 * z
             + 0.5 * (p1v * t2 + p2v * t1) / d ** 2
@@ -414,11 +437,11 @@ def two_point_regular(curve, params, x: complex, s: int) -> complex:
     """<theta_{X_s} theta_x>_r: the even two-point value with the
     singular OPE content (c/32) f^2 Z + (1/4) f (<th_x> + <th_Xs>)
     removed, f = p(x)/(x - X_s)^2."""
-    xs = curve.roots[s]
+    xs = curve.root(s)
     tp = two_point(curve, params, x, xs)
     f = curve.p(x) / (x - xs) ** 2
     return (tp.even - (params.c / 32.0) * f ** 2 * params.z
-            - 0.25 * f * (vartheta(curve, params, x) + vartheta(curve, params, xs)))
+            - 0.25 * f * (params.theta(x) + params.theta(xs)))
 
 
 # ----------------------------------------------------------------------
@@ -436,16 +459,8 @@ def admissible_graphs(N: int) -> list[tuple]:
     out: list[tuple] = []
     for mask in range(1 << len(edges)):
         chosen = [edges[k] for k in range(len(edges)) if mask >> k & 1]
-        outdeg = [0] * N
-        indeg = [0] * N
-        ok = True
-        for i, j in chosen:
-            outdeg[i] += 1
-            indeg[j] += 1
-            if outdeg[i] > 1 or indeg[j] > 1:
-                ok = False
-                break
-        if ok:
+        # in/out degree <= 1: no vertex is the tail, or the head, of two edges
+        if all(len(set(ends)) == len(chosen) for ends in zip(*chosen)):
             out.append(tuple(sorted(chosen)))
     return out
 
@@ -499,7 +514,7 @@ def assemble_two_point_graphs(curve, params, x1: complex, x2: complex) -> dict:
     c = params.c
     # the theorem's f carries sheets; work on the (+, +) sheet throughout
     f12 = f_pair(curve, x1, x2, +1, +1)
-    theta_vals = {0: vartheta(curve, params, x1), 1: vartheta(curve, params, x2)}
+    theta_vals = {0: params.theta(x1), 1: params.theta(x2)}
     # residual two-point: the even-part model minus OPE singular content,
     # evaluated off the ramification locus on the (+, +) sheet
     tp = two_point(curve, params, x1, x2)

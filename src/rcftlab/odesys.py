@@ -48,7 +48,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .curve import CorrelatorParams, HyperCurve, _elementary_symmetric, omega_s, vartheta
+from .curve import HyperCurve, _elementary_symmetric, omega_s
 from .qspecial import ModularPoint, eta_numeric, rr_numeric
 
 __all__ = [
@@ -165,7 +165,7 @@ def exact_corollary_residual(curve: HyperCurve, s: int, state: ExactState5,
     + (2/5)(p''/p')(<th>/p') + (3/10) <th'>/p',
     using d p'(X_s)/dX_s = p''(X_s)/2.  Returns the max row residual.
     """
-    xs = curve.roots[s]
+    xs = curve.root(s)
     p1 = curve.p_prime_at_root(s)
     p2 = curve.dp(xs, 2)
     om = omega_s(curve, s)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -186,6 +187,17 @@ def serre_derivative(f: TruncatedSeries, weight) -> TruncatedSeries:
 # Rogers-Ramanujan characters
 # ----------------------------------------------------------------------
 
+#: per character: the leading exponent h, the linear coefficient l of the
+#: sum-form exponent n^2 + l n, and the residues mod 5 of the product form
+_RR_VARIANTS = {"h0": (Fraction(11, 60), 1, (2, 3)), "g0": (Fraction(-1, 60), 0, (1, 4))}
+
+
+def _rr_variant(variant: str) -> tuple:
+    if variant not in _RR_VARIANTS:
+        raise ValueError(f"variant must be 'h0' or 'g0', got {variant!r}")
+    return _RR_VARIANTS[variant]
+
+
 @dataclass(frozen=True)
 class CharacterSeries:
     """One torus character: variant 'h0' leads with q^{11/60}, 'g0' with q^{-1/60}."""
@@ -194,32 +206,28 @@ class CharacterSeries:
     series: TruncatedSeries = field(repr=False)
 
     def __post_init__(self):
-        if self.variant not in ("h0", "g0"):
-            raise ValueError("variant must be 'h0' or 'g0'")
+        _rr_variant(self.variant)
 
 
 def _rr_sum_form(variant: str, order: int) -> TruncatedSeries:
     """sum_n q^e(n)/(q)_n, with 1/(q)_n kept as a running product of the
     geometric series 1/(1 - q^n) = 1 + q^n + q^2n + ..."""
+    lin = _rr_variant(variant)[1]
     out = TruncatedSeries.zero(order)
     inv = TruncatedSeries.constant(1.0, order)
-    n = 0
-    while True:
-        e = n * n + n if variant == "h0" else n * n
+    for n in itertools.count():
+        e = n * n + lin * n
         if e >= order:
-            break
+            return out
         if n:
             inv = inv * TruncatedSeries.from_dict(1, dict.fromkeys(range(0, order, n), 1.0), order)
         out = out + inv.shifted(e)
-        n += 1
-    return out
 
 
 def rogers_ramanujan(variant: str, order: int) -> CharacterSeries:
     """Sum-form character series, shifted to its 1/60 leading exponent."""
     body = _rr_sum_form(variant, order)
-    shift = Fraction(11, 60) if variant == "h0" else Fraction(-1, 60)
-    return CharacterSeries(variant, body.shifted(shift))
+    return CharacterSeries(variant, body.shifted(_rr_variant(variant)[0]))
 
 
 def rr_product_form(variant: str, order: int) -> TruncatedSeries:
@@ -227,7 +235,7 @@ def rr_product_form(variant: str, order: int) -> TruncatedSeries:
 
     h0: prod over n = +-2 mod 5 of (1-q^n)^{-1};  g0: n = +-1 mod 5.
     """
-    residues = (2, 3) if variant == "h0" else (1, 4)
+    residues = _rr_variant(variant)[2]
     den = TruncatedSeries.constant(1.0, order)
     for n in range(1, order):
         if n % 5 in residues:
@@ -371,23 +379,18 @@ def rr_numeric(variant: str, point: ModularPoint) -> complex:
     """Character value at the point, via the sum form.  The leading power is
     e^(2 pi i h tau), h = 11/60 or -1/60, not a branch of q^h, so that
     chi(tau + 1) = e^(2 pi i h) chi(tau)."""
+    h, lin, _ = _rr_variant(variant)
     point.require_convergent()
     q = point.q
-    h = 11 / 60 if variant == "h0" else -1 / 60
-    lead = cmath.exp(2j * cmath.pi * h * point.tau)
-    total = 0j
-    n = 0
-    poch = 1.0 + 0j
-    while True:
+    lead = cmath.exp(2j * cmath.pi * float(h) * point.tau)
+    total, poch = 0j, 1.0 + 0j
+    for n in itertools.count():
         if n > 0:
             poch *= (1.0 - q ** n)
-        e = n * n + n if variant == "h0" else n * n
-        t = q ** e / poch
+        t = q ** (n * n + lin * n) / poch
         total += t
         if n > 1 and abs(t) < 1e-17 * abs(total):
-            break
-        n += 1
-    return lead * total
+            return lead * total
 
 
 # ----------------------------------------------------------------------

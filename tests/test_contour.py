@@ -20,7 +20,7 @@ from rcftlab.contour import (
     weyl_integrals,
     weyl_outer_oracle,
 )
-from rcftlab.curve import CorrelatorParams, HyperCurve, vartheta
+from rcftlab.curve import CorrelatorParams, HyperCurve
 
 from test_curve import random_curve
 
@@ -56,7 +56,7 @@ class TestCauchy:
     def test_node_doubling_gate(self, curve, params):
         spec = default_spec_for_root(curve, 0)
         err = node_doubling_error(
-            lambda x: vartheta(curve, params, x) / (x - curve.roots[1]), spec, 2)
+            lambda x: params.theta(x) / (x - curve.roots[1]), spec, 2)
         assert err < 1e-12
 
     def test_linearity(self):
@@ -76,7 +76,7 @@ class TestThetaLaurent:
     def test_k0_is_value(self, curve, params):
         xs = curve.roots[0]
         assert theta_laurent(curve, params, 0, 0) == pytest.approx(
-            vartheta(curve, params, xs), rel=1e-11)
+            params.theta(xs), rel=1e-11)
 
     def test_k3_third_derivative_law(self, curve, params):
         # Taylor coefficient <th'''>/3! with <th'''> = -(3c/80) p^(5) Z

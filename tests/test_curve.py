@@ -5,7 +5,17 @@ import cmath
 import numpy as np
 import pytest
 
-from rcftlab.contour import ContourSpec, cauchy_coefficient, theta_laurent
+from rcftlab.contour import (
+    ContourSpec,
+    btilde,
+    btilde_printed_display,
+    btilde_taylor_closed,
+    cauchy_coefficient,
+    default_spec_for_root,
+    k_integral_closed,
+    theta_laurent,
+    verify_k_integrals,
+)
 from rcftlab.curve import (
     CENTRAL_CHARGE_25,
     CorrelatorParams,
@@ -24,8 +34,9 @@ from rcftlab.curve import (
     psi_prime_closed,
     psi_value,
     two_point,
-    vartheta,
+    two_point_regular,
 )
+from rcftlab.odesys import ExactState5, exact_corollary_residual, exact_matrix
 from rcftlab.series import order_fit
 
 
@@ -89,7 +100,7 @@ class TestHyperCurve:
         with pytest.raises(ValueError, match="negative"):
             curve.dp(x, -1)
         with pytest.raises(ValueError, match="negative"):
-            vartheta(curve, params, x, deriv=-1)
+            params.theta(x, -1)
         with pytest.raises(ValueError, match="negative"):
             beta_value(curve, params, x, deriv=-2)
 
@@ -107,9 +118,29 @@ class TestHyperCurve:
                 cv.nearest_other_root_distance(s)
             with pytest.raises(ValueError, match="out of range"):
                 omega_s(cv, s)
-            # the default contour is sized from the nearest-root distance
             with pytest.raises(ValueError, match="out of range"):
-                theta_laurent(cv, pp, s, 0)
+                cv.root(s)
+        # every root-local function of the upper layers reads X_s through
+        # HyperCurve.root; at s = 4 each runs
+        spec = default_spec_for_root(cv, 0)
+        state = ExactState5(1, 0.5, 0.25, 0.125, 0.0625)
+        root_local = {
+            "theta_laurent": lambda s: theta_laurent(cv, pp, s, 0),
+            "k_integral_closed": lambda s: k_integral_closed(cv, pp, s, 0),
+            "verify_k_integrals": lambda s: [r.numeric for r in verify_k_integrals(cv, pp, s)],
+            "btilde": lambda s: btilde(cv, pp, s),
+            "btilde(spec)": lambda s: btilde(cv, pp, s, spec),
+            "btilde_taylor_closed": lambda s: btilde_taylor_closed(cv, pp, s),
+            "btilde_printed_display": lambda s: btilde_printed_display(cv, pp, s),
+            "two_point_regular": lambda s: two_point_regular(cv, pp, 0.5 + 0.5j, s),
+            "exact_matrix": lambda s: exact_matrix(cv, s),
+            "exact_corollary_residual": lambda s: exact_corollary_residual(cv, s, state),
+        }
+        for name, call in root_local.items():
+            assert np.all(np.isfinite(call(4))), name
+            for s in (-1, 5):
+                with pytest.raises(ValueError, match="out of range"):
+                    call(s)
 
     def test_degree_bound(self, curve):
         assert curve.dp(0.3 + 0.1j, curve.n + 1) == 0
@@ -206,7 +237,7 @@ class TestCorrelatorParams:
         assert len(params.theta_coeffs) == curve.n - 1
         with pytest.raises(ValueError, match="theta coefficients"):
             CorrelatorParams(params.z, params.theta_coeffs[1:], params.b11)
-        assert vartheta(curve, params, 0.0, deriv=curve.n - 1) == 0
+        assert params.theta(0.0, curve.n - 1) == 0
 
 
 class TestPsi:
@@ -356,9 +387,9 @@ class TestGraphs:
         assert by_graph[((0, 1), (1, 0))] == pytest.approx(
             (c / 32) * f12 ** 2 * params.z, rel=1e-12)
         assert by_graph[((0, 1),)] == pytest.approx(
-            0.25 * f12 * vartheta(curve, params, x1), rel=1e-12)
+            0.25 * f12 * params.theta(x1), rel=1e-12)
         assert by_graph[((1, 0),)] == pytest.approx(
-            0.25 * f12 * vartheta(curve, params, x2), rel=1e-12)
+            0.25 * f12 * params.theta(x2), rel=1e-12)
 
     def test_weight_terms(self):
         w = graph_weight_terms(((0, 1),), 2)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from rcftlab.curve import CorrelatorParams, HyperCurve, omega_s, vartheta
+from rcftlab.curve import CorrelatorParams, HyperCurve, omega_s
 from rcftlab.odesys import (
     CollisionBrackets,
     ExactState5,

@@ -1,6 +1,7 @@
-"""Every name a layer exports in ``__all__`` exists in that layer, no
-layer imports sympy at module level, and every layer imports only layers
-below it."""
+"""Every name a layer exports in ``__all__`` exists in that layer and every
+public function and class it defines is exported, no layer imports sympy
+at module level, every layer imports only layers below it, and only
+``HyperCurve`` indexes its roots."""
 
 import ast
 import importlib
@@ -29,11 +30,38 @@ def test_all_names_resolve(layer):
     assert not missing
 
 
+def _tree(layer):
+    return ast.parse(inspect.getsource(importlib.import_module(f"rcftlab.{layer}")))
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_public_definitions_exported(layer):
+    # read from the source, so a decorated function counts as defined here
+    defined = [node.name for node in _tree(layer).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    exported = importlib.import_module(f"rcftlab.{layer}").__all__
+    assert sorted(set(defined) - set(exported)) == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_roots_indexed_only_by_hypercurve(layer):
+    # X_s is read through HyperCurve.root(s), the one place where a root
+    # index is checked; a raw roots[s] elsewhere wraps s = -1 to the last
+    # root and raises IndexError at s = n
+    outside = [node for node in _tree(layer).body
+               if not (isinstance(node, ast.ClassDef) and node.name == "HyperCurve")]
+    raw = [node.lineno for top in outside for node in ast.walk(top)
+           if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+           and node.value.attr == "roots"]
+    assert raw == []
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_sympy_imported_lazily(layer):
     # importing sympy takes about 0.3 s; only the exact analysis in
     # odesys.leading_matrix_5 needs it, so it is imported there
-    tree = ast.parse(inspect.getsource(importlib.import_module(f"rcftlab.{layer}")))
+    tree = _tree(layer)
     modules = [a.name for node in tree.body if isinstance(node, ast.Import)
                for a in node.names]
     modules += [node.module or "" for node in tree.body
@@ -65,5 +93,4 @@ def _rcftlab_imports(tree):
 @pytest.mark.parametrize("layer", LAYERS)
 def test_layer_order(layer):
     # module level or inside a function, an import may only reach down
-    tree = ast.parse(inspect.getsource(importlib.import_module(f"rcftlab.{layer}")))
-    assert sorted(set(_rcftlab_imports(tree)) - LOWER[layer]) == []
+    assert sorted(set(_rcftlab_imports(_tree(layer))) - LOWER[layer]) == []

@@ -27,6 +27,7 @@ from rcftlab.qspecial import (
     weierstrass_e_values,
     zeta_even,
 )
+from rcftlab.qspecial import _rr_sum_form
 from rcftlab.series import TruncatedSeries, coeff_distance
 
 TAU_POINTS = [ModularPoint(1.5j), ModularPoint(0.3 + 1.2j)]
@@ -162,6 +163,20 @@ class TestRogersRamanujan:
         # q^h (1 + ...) keeps h as its lead and its body on the integer grid
         s = rogers_ramanujan(variant, order).series
         assert s.denom == 1 and len(s.coeffs) <= order
+
+    @pytest.mark.parametrize("call", [
+        lambda v: rogers_ramanujan(v, 10),
+        lambda v: rr_product_form(v, 10),
+        lambda v: _rr_sum_form(v, 10),
+        lambda v: rr_numeric(v, ModularPoint(1.2j)),
+        lambda v: CharacterSeries(v, TruncatedSeries.constant(1.0, 5)),
+        lambda v: character_ode_residual(v, 10),
+    ], ids=["rogers_ramanujan", "rr_product_form", "_rr_sum_form", "rr_numeric",
+            "CharacterSeries", "character_ode_residual"])
+    def test_unknown_variant_rejected(self, call):
+        # an unknown name must not fall through to the g0 character
+        with pytest.raises(ValueError, match="variant"):
+            call("x0")
 
     def test_character_ode_nonsolution(self):
         one = TruncatedSeries.constant(1.0, 30)

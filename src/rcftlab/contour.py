@@ -17,8 +17,8 @@ the coefficients of B are formed once per contour.
 Point data are read from curve, never recomputed here: <theta> and its
 derivatives from CorrelatorParams.theta, and X_s from HyperCurve.root(s),
 which rejects an index outside 0 <= s < n.  The three closed forms take
-p^(k)(X_s) from the spectator differences (HyperCurve._root_derivatives,
-the route exact_matrix takes) through one helper, _taylor_at_root.
+p^(k)(X_s) from the spectator differences (HyperCurve._root_jet, the route
+exact_matrix takes) through one helper, _taylor_at_root.
 
 Everything integrated here is Galois even: with one argument pinned to a
 ramification point the y1 y2 part of the two-point function carries a
@@ -28,6 +28,7 @@ factor y(X_s) = 0, so no sheet tracking is needed on the contour.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,11 @@ class ContourSpec:
     nodes: int = 512
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.nodes < 64:
-            raise ValueError("at least 64 trapezoid nodes required")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not isinstance(self.nodes, numbers.Integral) or self.nodes < 64:
+            raise ValueError(f"need an integer count of at least 64 trapezoid "
+                             f"nodes, got {self.nodes!r}")
 
 
 def default_spec_for_root(curve: HyperCurve, s: int) -> ContourSpec:
@@ -133,7 +135,7 @@ def _taylor_at_root(curve, params, s):
     if curve.n != 5:
         raise ValueError("closed forms are the n=5 statement")
     xs = curve.root(s)
-    return xs, curve._root_derivatives(s)[1:], [params.theta(xs, k) for k in range(4)]
+    return xs, curve._root_jet(s)[2][1:], [params.theta(xs, k) for k in range(4)]
 
 
 def k_integral_closed(curve, params, s: int, k: int) -> complex:

@@ -18,8 +18,9 @@ Each piece of point data has one owner.  <theta>^(k)(x) is
 CorrelatorParams.theta, read from a derivative table that each params
 object builds on first use, once; beta_poly_coeffs reads the same table.
 X_s is HyperCurve.root(s), the one place where a root index is checked.
-The p^(k)(X_s) come from the spectator differences X_s - X_t, which read
-X_s through it (HyperCurve.p_prime_at_root and _root_derivatives).
+The root-local data, p^(k)(X_s), omega_s and the distances to the other
+roots, come from one walk of the spectator differences X_s - X_t,
+HyperCurve._root_jet, which reads X_s through it.
 
 Derivatives are exact: HyperCurve.dp and the polynomial models reject a
 negative order.  This layer sits below contour and imports none of it;
@@ -139,25 +140,22 @@ class HyperCurve:
             raise ValueError(f"root index {s} out of range")
         return self.roots[s]
 
-    def _root_differences(self, s: int) -> list[complex]:
-        """[X_s - X_i for i != s], in root order."""
+    def _root_jet(self, s: int) -> tuple[list, list, list]:
+        """Root-local data from one walk of the spectators: the differences
+        d = [X_s - X_t for t != s] in root order, [e_0, ..., e_{n-1}] of the
+        1/d, and [p(X_s), p'(X_s), ..., p^(n)(X_s)] with p' = a0 prod d and
+        p^(k) = k! p' e_{k-1}.  Builds neither poly nor _dpolys, so a curve
+        made for one evaluation stays cheap."""
         xs = self.root(s)
-        return [xs - r for i, r in enumerate(self.roots) if i != s]
+        d = [xs - r for t, r in enumerate(self.roots) if t != s]
+        e = _elementary_symmetric([1.0 / v for v in d], self.n - 1)
+        p1 = math.prod(d, start=self.a0 + 0j)
+        return d, e, [0j, p1] + [math.factorial(k) * p1 * e[k - 1]
+                                 for k in range(2, self.n + 1)]
 
     def p_prime_at_root(self, s: int) -> complex:
         """p'(X_s) = a0 prod_{i != s} (X_s - X_i), as an exact product."""
-        return math.prod(self._root_differences(s), start=self.a0 + 0j)
-
-    def _root_derivatives(self, s: int) -> list[complex]:
-        """[p(X_s), p'(X_s), ..., p^(n)(X_s)] in one pass over the spectator
-        differences: p^(k)(X_s) = k! p'(X_s) e_{k-1}(1/(X_s - X_i)).  Builds
-        neither poly nor _dpolys, so a curve made for one evaluation stays
-        cheap."""
-        p1 = self.p_prime_at_root(s)
-        w = [1.0 / d for d in self._root_differences(s)]
-        e = _elementary_symmetric(w, self.n - 1)
-        return [0j] + [math.factorial(k) * p1 * e[k - 1]
-                       for k in range(1, self.n + 1)]
+        return self._root_jet(s)[2][1]
 
     def y(self, x: complex, sheet: int = +1) -> complex:
         """Principal square root of p(x) with an explicit sheet sign."""
@@ -166,7 +164,7 @@ class HyperCurve:
         return sheet * cmath.sqrt(self.p(x))
 
     def nearest_other_root_distance(self, s: int) -> float:
-        return min(abs(d) for d in self._root_differences(s))
+        return min(map(abs, self._root_jet(s)[0]))
 
     def schwarzian_p(self, x: complex) -> complex:
         """S(p)(x) = p'''/p' - (3/2)(p''/p')^2, exact derivatives."""
@@ -203,8 +201,8 @@ def _elementary_symmetric(values, m: int) -> list[complex]:
 # ----------------------------------------------------------------------
 
 def omega_s(curve: HyperCurve, s: int) -> complex:
-    """omega_s = sum_{t != s} 1/(X_s - X_t)."""
-    return sum(1.0 / d for d in curve._root_differences(s))
+    """omega_s = sum_{t != s} 1/(X_s - X_t), the e_1 of HyperCurve._root_jet."""
+    return curve._root_jet(s)[1][1]
 
 
 def f_pair(curve: HyperCurve, x1: complex, x2: complex,

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .curve import HyperCurve, _elementary_symmetric, omega_s
+from .curve import HyperCurve, _elementary_symmetric
 from .qspecial import ModularPoint, eta_numeric, rr_numeric
 
 __all__ = [
@@ -114,7 +114,8 @@ def exact_matrix(curve: HyperCurve, s: int, c: float = -22.0 / 5.0) -> np.ndarra
     into a derivative of the evaluated state: the +1 on the superdiagonal
     of rows 1 and 2 (covariant -7/10 and -3/10 become 3/10 and 7/10), and
     in row 3 <theta'''> = -(3c/80) p^(5) <1> by the n = 5 law.  The
-    p^(k)(X_s) come from the spectator differences alone.
+    p^(k)(X_s), the gaps and omega_s come from one walk of the spectator
+    differences, HyperCurve._root_jet.
 
     Under X -> lambda X (a0 fixed) entry (i, j) scales as
     lambda^(w_i - w_j - 1) with weights w = (0, 3, 2, 1, 4).
@@ -128,13 +129,13 @@ def exact_matrix(curve: HyperCurve, s: int, c: float = -22.0 / 5.0) -> np.ndarra
     """
     if curve.n != 5:
         raise ValueError("exact system is the n=5 statement")
-    _, p1, p2, p3, p4, p5 = curve._root_derivatives(s)
-    gaps = [abs(d) for d in curve._root_differences(s)]
+    d, e, (_, p1, p2, p3, p4, p5) = curve._root_jet(s)
+    gaps = [abs(v) for v in d]
     ratio = min(gaps) / max(gaps)
     if ratio < COLLISION_RATIO:
         raise ValueError(f"root collision: nearest/farthest root gap ratio "
                          f"{ratio:.3g} at X_s is below {COLLISION_RATIO:g}")
-    cw = c / 8.0 * omega_s(curve, s)
+    cw = c / 8.0 * e[1]  # e_1 of the 1/(X_s - X_t) is omega_s
     q2, q3 = p2 / p1, p3 / p1
     return np.array([
         [cw, 2.0 / p1, 0.0, 0.0, 0.0],
@@ -166,9 +167,8 @@ def exact_corollary_residual(curve: HyperCurve, s: int, state: ExactState5,
     using d p'(X_s)/dX_s = p''(X_s)/2.  Returns the max row residual.
     """
     xs = curve.root(s)
-    p1 = curve.p_prime_at_root(s)
+    _, (_, om, *_), (_, p1, *_) = curve._root_jet(s)  # omega_s is e_1
     p2 = curve.dp(xs, 2)
-    om = omega_s(curve, s)
     sp = curve.schwarzian_p(xs)
     d = exact_rhs(curve, s, state, c)
     # row 1: (d - c/8 om) <1> = 2 <th>/p'
@@ -352,13 +352,17 @@ def integrate_path(rhs, y0, waypoints, rtol: float = 1e-10, atol: float = 1e-12)
 
     Each straight segment is parameterized linearly and stepped with an
     adaptive embedded Runge-Kutta pair at the requested local error.
-    Returns the endpoint state.
+    Returns the endpoint state.  Raises ValueError if rhs is not finite at
+    the start of a segment (a pole there): the stepper's first step would
+    be nan, and its step loop would never end.
     """
     pts = [complex(w) for w in waypoints]
     if len(pts) < 2:
         raise ValueError("need at least two waypoints")
     y = np.asarray(y0, dtype=complex)
     for a, b in zip(pts, pts[1:]):
+        if not np.all(np.isfinite(rhs(a, y))):
+            raise ValueError(f"rhs is not finite at the start of segment {a} -> {b}")
         seg = b - a
 
         def f(t, yy):

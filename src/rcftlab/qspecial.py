@@ -299,6 +299,8 @@ def _theta_sum(i, tau, deriv, dps):
     """theta_i(0 | tau) or its deriv-th tau-derivative: shells m = 0, +-1,
     ... of e^{2 pi i (e tau + (m+a) b)} (2 pi i e)^deriv, e = (m+a)^2/2."""
     ctx = _FLOAT if dps is None else mp.mp
+    if i not in (2, 3, 4):
+        raise ValueError(f"theta index {i} is not 2, 3 or 4")
     a, b = {2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}[i]
     tau, exp, pi = ctx.mpmathify(tau), ctx.exp, ctx.pi
     tol = ctx.mpf(10) ** -(dps or 16)

@@ -12,9 +12,10 @@ lead, coeffs and trunc.  Truncation order propagates pessimistically: a
 result never reports coefficients at or beyond the order implied by its
 inputs.
 
-The carrier type is used for q-expansions (eta, theta constants, the two
-characters), for nu- and eps-expansions, and for local (x - X_s)
-expansions.
+The carrier type is used for the q-expansions of qspecial (eta, theta
+constants, Eisenstein series, the two characters); no other layer builds
+one.  Sewing's nu- and eps-expansions are plain mpmath arithmetic (it takes
+only order_fit from here), and curve and contour never import this module.
 """
 
 from __future__ import annotations

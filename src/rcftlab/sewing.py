@@ -364,6 +364,8 @@ def wp_eval(z, tau, coeffs=None, dps: int = DEFAULT_DPS):
     """
     with mp.workdps(dps):
         z = mp.mpmathify(z)
+        if z == 0:
+            raise ValueError("wp has its pole at z = 0")
         if float(abs(z)) > 0.75 * _min_lattice_norm(tau):
             raise ValueError("z outside the convergence disc of the Laurent series")
         c = coeffs if coeffs is not None else wp_coeffs(tau, dps=dps)
@@ -487,6 +489,8 @@ def lft_image_check(inp: SewInput, k_hat: int = 0, dps: int = DEFAULT_DPS) -> di
     eps = inp.epsilon
     if eps is None or not (1e-3 <= eps <= 0.1):
         raise ValueError("lft check expects eps in [1e-3, 0.1]")
+    if k_hat not in (0, 1, 2):
+        raise ValueError(f"k_hat {k_hat} is not a half-period index 0, 1 or 2")
     with mp.workdps(dps):
         e = mp.mpf(eps)
         _, _, coord, coord_hat = _coordinate_maps(inp, e, dps)

@@ -53,6 +53,14 @@ class TestCauchy:
         val = cauchy_coefficient(lambda x: 1.0 / (x - c0), spec, -2)
         assert abs(val) < 1e-13
 
+    @pytest.mark.parametrize("radius, nodes", [
+        (float("nan"), 512), (math.inf, 512), (0.0, 512), (1.0, 64.5), (1.0, 32)])
+    def test_spec_rejects_bad_circle(self, radius, nodes):
+        # a nan radius and a non-integer node count (an open polygon of
+        # nodes) were accepted and gave silently wrong coefficients
+        with pytest.raises(ValueError):
+            ContourSpec(0.0, radius, nodes)
+
     def test_node_doubling_gate(self, curve, params):
         spec = default_spec_for_root(curve, 0)
         err = node_doubling_error(

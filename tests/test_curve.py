@@ -1,6 +1,7 @@
 """Tests for hyperelliptic-curve utilities and the n=5 correlator model."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ class TestHyperCurve:
 
     def test_dp_at_root_sum_formula(self, curve):
         for s in range(curve.n):
-            derivs = curve._root_derivatives(s)
+            derivs = curve._root_jet(s)[2]
             for k in range(1, curve.n + 1):
                 assert derivs[k] == pytest.approx(curve.dp(curve.roots[s], k), rel=1e-9)
 
@@ -113,7 +114,7 @@ class TestHyperCurve:
             with pytest.raises(ValueError, match="out of range"):
                 cv.p_prime_at_root(s)
             with pytest.raises(ValueError, match="out of range"):
-                cv._root_derivatives(s)
+                cv._root_jet(s)
             with pytest.raises(ValueError, match="out of range"):
                 cv.nearest_other_root_distance(s)
             with pytest.raises(ValueError, match="out of range"):
@@ -141,6 +142,36 @@ class TestHyperCurve:
             for s in (-1, 5):
                 with pytest.raises(ValueError, match="out of range"):
                     call(s)
+
+    def test_root_jet_is_the_plain_sum_and_product(self):
+        # omega_s and p'(X_s) equal, to the bit, the sum of the reciprocal
+        # spectator differences and their product with a0
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            cv = random_curve(rng)
+            for s in range(cv.n):
+                d = [cv.roots[s] - r for t, r in enumerate(cv.roots) if t != s]
+                assert omega_s(cv, s) == sum(1.0 / v for v in d)
+                assert cv.p_prime_at_root(s) == math.prod(d, start=cv.a0)
+
+    def test_x_s_read_once_per_walk(self, monkeypatch):
+        # each root-local read walks the spectators once, through one read
+        # of X_s: exact_matrix reads it once for p^(k), the gaps and omega_s
+        cv = random_curve(np.random.default_rng(11))
+        pp = CorrelatorParams.random_for(cv, np.random.default_rng(12))
+        state = ExactState5(1, 0.5, 0.25, 0.125, 0.0625)
+        reads = []
+        root = HyperCurve.root
+        monkeypatch.setattr(HyperCurve, "root",
+                            lambda self, s: reads.append(s) or root(self, s))
+        for name, call, most in (
+                ("exact_matrix", lambda: exact_matrix(cv, 2), 1),
+                ("exact_corollary_residual",
+                 lambda: exact_corollary_residual(cv, 2, state), 3),
+                ("verify_k_integrals", lambda: verify_k_integrals(cv, pp, 2), 10)):
+            reads.clear()
+            call()
+            assert 1 <= len(reads) <= most, (name, len(reads))
 
     def test_degree_bound(self, curve):
         assert curve.dp(0.3 + 0.1j, curve.n + 1) == 0

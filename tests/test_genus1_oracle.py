@@ -59,6 +59,17 @@ def test_theta_numeric(i, tau):
                        jtheta_derivative(i, tau, k)) < 1e-14
 
 
+@pytest.mark.parametrize("i", (0, 1, 5))
+@pytest.mark.parametrize("theta", (
+    lambda i: theta_char_1d(i, EQUIANHARMONIC_TAU),
+    lambda i: theta_numeric(i, ModularPoint(EQUIANHARMONIC_TAU)),
+), ids=("theta_char_1d", "theta_numeric"))
+def test_theta_index_rejected(theta, i):
+    # one check in the shared kernel, for both precisions
+    with pytest.raises(ValueError, match="theta index"):
+        theta(i)
+
+
 @pytest.mark.parametrize("tau", TAUS)
 def test_wp_coeffs_eisenstein(tau):
     e4, e6 = e4_e6(tau)

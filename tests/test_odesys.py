@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -381,6 +382,27 @@ class TestIntegratePath:
         ref = expm(2j * np.pi * a)
         for r in (0.2, 0.5, 1.5):
             assert np.abs(euler_monodromy(a, radius=r) - ref).max() < 1e-8
+
+    @pytest.mark.parametrize("call", [
+        lambda: integrate_path(lambda x, y: y / x, [1.0], [0, 1]),
+        lambda: euler_monodromy(np.eye(2), 0),
+        lambda: monodromy_collision(C25, 0),
+    ], ids=["integrate_path", "euler_monodromy", "monodromy_collision"])
+    def test_rhs_not_finite_at_segment_start(self, call):
+        # a pole at a segment's start made the stepper's first step nan and
+        # its step loop never end; the alarm turns such a hang into a failure
+        def hang(signum, frame):
+            raise TimeoutError("no return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="not finite"):
+                call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestMonodromyCollision:

@@ -274,6 +274,11 @@ class TestWeierstrass:
         with pytest.raises(ValueError, match="pole"):
             wp_lattice_oracle(0, TAU)
 
+    def test_laurent_pole_raises(self):
+        # the same error as the oracle, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="pole"):
+            wp_eval(0, TAU)
+
 
 @pytest.mark.parametrize("leading", [
     x3_minus_x4_leading,
@@ -339,3 +344,9 @@ class TestLftImage:
         b0 = t3 / t2
         measured = (complex(inp["exact"]) - b0) / (1e-3) ** 2
         assert abs(measured - inp["eps2_coeff_expected"]) < 5e-3 * abs(measured)
+
+    @pytest.mark.parametrize("k_hat", (-1, 3))
+    def test_k_hat_out_of_range(self, k_hat):
+        # -1 must not wrap to xi2, nor 3 surface as an IndexError
+        with pytest.raises(ValueError, match="k_hat"):
+            lft_image_check(SewInput(TAU, 0.1 + 1.3j, epsilon=0.05), k_hat=k_hat)

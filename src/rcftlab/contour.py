@@ -69,6 +69,8 @@ class ContourSpec:
     nodes: int = 512
 
     def __post_init__(self):
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if not isinstance(self.nodes, numbers.Integral) or self.nodes < 64:

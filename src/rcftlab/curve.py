@@ -91,16 +91,19 @@ class HyperCurve:
 
     def __init__(self, a0, roots):
         object.__setattr__(self, "a0", complex(a0))
-        object.__setattr__(self, "roots", tuple(complex(r) for r in roots))
+        object.__setattr__(self, "roots", tuple(map(complex, roots)))
         if self.a0 == 0:
             raise ValueError("a0 must be nonzero")
+        if not all(map(cmath.isfinite, (self.a0, *self.roots))):
+            raise ValueError(f"a0 and the roots must be finite, got a0 = {self.a0}, "
+                             f"roots {self.roots}")
         n = len(self.roots)
         if not 3 <= n <= 8:
             raise ValueError(f"need 3..8 roots, got {n}")
-        gap, i, j = min((abs(self.roots[i] - self.roots[j]), i, j)
-                        for i, j in combinations(range(n), 2))
-        spread = max(abs(a - b) for a, b in combinations(self.roots, 2))
+        dists = [abs(a - b) for a, b in combinations(self.roots, 2)]
+        gap, spread = min(dists), max(dists)
         if gap <= MIN_ROOT_RATIO * spread:
+            i, j = list(combinations(range(n), 2))[dists.index(gap)]
             raise ValueError(f"roots {i} and {j} are {gap:.3g} apart, at most "
                              f"{MIN_ROOT_RATIO:g} of the root spread {spread:.3g}")
 

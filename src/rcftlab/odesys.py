@@ -6,6 +6,12 @@ systems with their Frobenius/indicial analysis, numeric path integration
 and monodromy, the Fibonacci equation count, and twist-exponent
 arithmetic.
 
+Loop monodromy of an Euler system w' = (A/X) w with constant A is taken
+from one side of a regular 24-gon around X = 0: the form (A/X) dX is
+invariant under X -> lambda X, and the rotation X -> e^{2 pi i/24} X maps
+each side onto the next, so all 24 side transports are one matrix T and
+the monodromy is T^24.
+
 The exact system is one 5x5 matrix, exact_matrix, which holds each of its
 coefficients once; exact_rhs applies it to a state.  The printed collision
 system is one row table, _rows5, generic over the scalar type: _matrix5
@@ -376,15 +382,20 @@ def integrate_path(rhs, y0, waypoints, rtol: float = 1e-10, atol: float = 1e-12)
     return {"endpoint": y}
 
 
-def _circle_waypoints(radius: float):
-    """A closed 24-gon inscribed in |X| = radius; homotopic to the loop."""
-    return [radius * cmath.exp(2j * cmath.pi * k / 24) for k in range(25)]
-
-
 def euler_monodromy(a_matrix: np.ndarray, radius: float = 0.5) -> np.ndarray:
-    """Monodromy of w' = (A/X) w around the origin: the fundamental matrix
-    Y' = (A/X) Y, Y = I at the start, integrated in one solve; equals
-    e^{2 pi i A} for constant A.  Integrated at rtol 1e-12, atol 1e-14."""
+    """Monodromy of w' = (A/X) w around the origin, which equals e^{2 pi i A}
+    for constant A, from one side of a 24-gon inscribed in |X| = radius.
+
+    The loop is the closed 24-gon with vertices r w^k, w = e^{2 pi i/24},
+    homotopic to the circle.  Let T be the transport of the fundamental
+    matrix Y' = (A/X) Y, Y = I at X = r, along the first side r -> r w.  The
+    form (A/X) dX does not change under X -> lambda X, and X -> w^k X maps
+    the first side onto side k: with X = r w^k (1 + t (w - 1)), t in [0, 1],
+    the parameterized right-hand side A Y dX/dt / X = A Y (w - 1)/(1 + t (w - 1))
+    is the same on every side.  So every side transports by the same T, and
+    the loop's monodromy is T^24.  One solve (rtol 1e-12, atol 1e-14) and
+    a matrix power replace 24 solves of the same system.
+    """
     a = np.asarray(a_matrix, dtype=complex)
     n = a.shape[0]
 
@@ -392,8 +403,9 @@ def euler_monodromy(a_matrix: np.ndarray, radius: float = 0.5) -> np.ndarray:
         return (a @ y.reshape(n, n) / x).ravel()
 
     y0 = np.eye(n, dtype=complex).ravel()
-    end = integrate_path(rhs, y0, _circle_waypoints(radius), 1e-12, 1e-14)["endpoint"]
-    return end.reshape(n, n)
+    side = [radius, radius * cmath.exp(2j * cmath.pi / 24)]
+    end = integrate_path(rhs, y0, side, 1e-12, 1e-14)["endpoint"]
+    return np.linalg.matrix_power(end.reshape(n, n), 24)
 
 
 def monodromy_collision(c: float = -22.0 / 5.0, radius: float = 0.5) -> dict:

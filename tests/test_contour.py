@@ -61,6 +61,13 @@ class TestCauchy:
         with pytest.raises(ValueError):
             ContourSpec(0.0, radius, nodes)
 
+    @pytest.mark.parametrize("center", [complex("nan"), complex(math.inf, 0.0),
+                                        complex(0.0, -math.inf)])
+    def test_spec_rejects_non_finite_center(self, center):
+        # a nan center sampled nan nodes and returned a nan coefficient
+        with pytest.raises(ValueError, match="center must be finite"):
+            ContourSpec(center, 1.0)
+
     def test_node_doubling_gate(self, curve, params):
         spec = default_spec_for_root(curve, 0)
         err = node_doubling_error(

@@ -185,6 +185,19 @@ class TestHyperCurve:
         with pytest.raises(ValueError):
             HyperCurve(1.0, [0, 1e3, 1e3 + 1e-5, 2e3, 3e3])
 
+    @pytest.mark.parametrize("a0, roots", [
+        (1.0, [0, 1, 2, 3, float("nan")]),
+        (float("nan"), [0, 1, 2, 3, 4]),
+        (1.0, [0, 1, 2, 3, complex(0.0, math.inf)]),
+        (math.inf, [0, 1, 2, 3, 4]),
+    ], ids=["nan root", "nan a0", "inf root", "inf a0"])
+    def test_rejects_non_finite_input(self, a0, roots):
+        # a nan root or a0 passed the distinctness test (a nan comparison is
+        # False) and gave nan root data; an infinite root was rejected as a
+        # collision with the root spread inf
+        with pytest.raises(ValueError, match="must be finite"):
+            HyperCurve(a0, roots)
+
     def test_json_round_trip(self, curve):
         c2 = HyperCurve.from_json(curve.to_json())
         assert c2.a0 == curve.a0 and c2.roots == curve.roots

@@ -383,6 +383,39 @@ class TestIntegratePath:
         for r in (0.2, 0.5, 1.5):
             assert np.abs(euler_monodromy(a, radius=r) - ref).max() < 1e-8
 
+    @staticmethod
+    def _euler_rhs(a):
+        n = a.shape[0]
+        return lambda x, y: (a @ y.reshape(n, n) / x).ravel()
+
+    @pytest.mark.parametrize("n, scale, radius, seed", [
+        (2, 0.4, 0.2, 1), (2, 0.15, 1.5, 2), (5, 0.15, 0.7, 3), (5, 0.4, 1.2, 4)])
+    def test_side_power_matches_full_polygon(self, n, scale, radius, seed):
+        # oracle: the fundamental matrix carried around all 24 sides of the
+        # polygon, one solve per side, at euler_monodromy's tolerances
+        rng = np.random.default_rng(seed)
+        a = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        polygon = [radius * cmath.exp(2j * cmath.pi * k / 24) for k in range(25)]
+        full = integrate_path(self._euler_rhs(a), np.eye(n, dtype=complex).ravel(),
+                              polygon, 1e-12, 1e-14)["endpoint"].reshape(n, n)
+        mon = euler_monodromy(a, radius)
+        assert np.abs(mon - full).max() / max(1.0, np.abs(full).max()) < 1e-10
+
+    def test_side_transports_equal(self):
+        # X -> e^{2 pi i/24} X maps side k onto side k + 1 and leaves
+        # (A/X) dX unchanged, so every side transports by the same matrix
+        rng = np.random.default_rng(23)
+        a = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        y0 = np.eye(3, dtype=complex).ravel()
+
+        def side(k):
+            ends = [0.8 * cmath.exp(2j * cmath.pi * j / 24) for j in (k, k + 1)]
+            return integrate_path(self._euler_rhs(a), y0, ends, 1e-12, 1e-14)["endpoint"]
+
+        t0 = side(0)
+        for k in (7, 13, 23):
+            assert np.abs(side(k) - t0).max() < 1e-12
+
     @pytest.mark.parametrize("call", [
         lambda: integrate_path(lambda x, y: y / x, [1.0], [0, 1]),
         lambda: euler_monodromy(np.eye(2), 0),

@@ -251,8 +251,8 @@ def weyl_integrals(eps: float, theta_radius: float, c: float) -> dict:
     rho0 -> 0.
     """
     rho0_sq = eps * theta_radius ** 2
-    if rho0_sq > 0.01:
-        raise ValueError("guard: eps * theta_radius^2 must stay <= 0.01")
+    if not 0 <= rho0_sq <= 0.01:
+        raise ValueError(f"guard: eps * theta_radius^2 = {rho0_sq} must lie in [0, 0.01]")
     value, _ = quad(lambda t: t / (1.0 + t) ** 3, rho0_sq, np.inf,
                     epsabs=1e-13, epsrel=1e-13)
     inner = -(c / 12.0) * theta_radius ** 2 * rho0_sq / (1.0 + rho0_sq) ** 3
@@ -272,6 +272,8 @@ def gauss_bonnet_outer(eps: float, theta_radius: float) -> dict:
     at g = 0: the double-cover share 8 pi minus 2 pi per branch point.
     """
     rho0_sq = eps * theta_radius ** 2
+    if not 0 <= rho0_sq < math.inf:
+        raise ValueError(f"eps * theta_radius^2 = {rho0_sq} must be finite and >= 0")
     value, _ = quad(lambda t: 1.0 / (1.0 + t) ** 2, rho0_sq, np.inf,
                     epsabs=1e-13, epsrel=1e-13)
     numeric = 4.0 * math.pi * value

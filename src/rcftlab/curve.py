@@ -25,7 +25,8 @@ HyperCurve._root_jet, which reads X_s through it.
 Derivatives are exact: HyperCurve.dp and the polynomial models reject a
 negative order.  This layer sits below contour and imports none of it;
 quadrature over these models (Laurent coefficients, sampled Schwarzians)
-belongs to contour or to its callers.
+belongs to contour or to its callers.  The default central charge is
+qspecial's CENTRAL_CHARGE, -22/5.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from itertools import combinations
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from .qspecial import CENTRAL_CHARGE
+
 __all__ = [
-    "CENTRAL_CHARGE_25",
     "HyperCurve",
     "CorrelatorParams",
     "TwoPointValue",
@@ -62,9 +64,6 @@ __all__ = [
     "graph_weight_terms",
     "assemble_two_point_graphs",
 ]
-
-#: central charge of the (2,5) minimal model
-CENTRAL_CHARGE_25 = -22.0 / 5.0
 
 # nearest pairwise root gap over the largest pairwise root distance at or
 # below which HyperCurve rejects the roots as not distinct; a ratio, so the
@@ -234,13 +233,13 @@ class CorrelatorParams:
     z: complex
     theta_coeffs: tuple
     b11: complex
-    c: float = CENTRAL_CHARGE_25
+    c: float = float(CENTRAL_CHARGE)
     _curve_n: int = field(default=5, repr=False)
     _curve_a0: complex = field(default=1.0, repr=False)
 
     @classmethod
     def make(cls, curve: HyperCurve, z: complex, lower_theta, b11: complex,
-             c: float = CENTRAL_CHARGE_25) -> "CorrelatorParams":
+             c: float = float(CENTRAL_CHARGE)) -> "CorrelatorParams":
         """Build params with the leading theta coefficient set by the
         large-x law; ``lower_theta`` supplies the n-2 lower coefficients."""
         n = curve.n
@@ -253,7 +252,7 @@ class CorrelatorParams:
 
     @classmethod
     def random_for(cls, curve: HyperCurve, rng: np.random.Generator,
-                   c: float = CENTRAL_CHARGE_25) -> "CorrelatorParams":
+                   c: float = float(CENTRAL_CHARGE)) -> "CorrelatorParams":
         def draw(k):
             return rng.normal(size=k) + 1j * rng.normal(size=k)
         z = complex(*rng.normal(size=2))

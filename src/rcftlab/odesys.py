@@ -55,7 +55,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .curve import HyperCurve, _elementary_symmetric
-from .qspecial import ModularPoint, eta_numeric, rr_numeric
+from .qspecial import CENTRAL_CHARGE, KAC_WEIGHTS, ModularPoint, eta_numeric, rr_numeric
 
 __all__ = [
     "COLLISION_RATIO",
@@ -111,7 +111,7 @@ class ExactState5:
         return cls(*map(complex, a))
 
 
-def exact_matrix(curve: HyperCurve, s: int, c: float = -22.0 / 5.0) -> np.ndarray:
+def exact_matrix(curve: HyperCurve, s: int, c: float = float(CENTRAL_CHARGE)) -> np.ndarray:
     """A with d(state)/dX_s = A state for the exact n = 5 system, xi_s = 1.
 
     State order (<1>, <theta>, <theta'>, <theta''>, B~).  Each row is the
@@ -158,14 +158,14 @@ def exact_matrix(curve: HyperCurve, s: int, c: float = -22.0 / 5.0) -> np.ndarra
 
 
 def exact_rhs(curve: HyperCurve, s: int, state: ExactState5,
-              c: float = -22.0 / 5.0) -> ExactState5:
+              c: float = float(CENTRAL_CHARGE)) -> ExactState5:
     """Full derivative d(state)/dX_s of the exact n = 5 system, xi_s = 1:
     exact_matrix(curve, s, c) applied to the state."""
     return ExactState5.from_array(exact_matrix(curve, s, c) @ state.as_array())
 
 
 def exact_corollary_residual(curve: HyperCurve, s: int, state: ExactState5,
-                             c: float = -22.0 / 5.0) -> float:
+                             c: float = float(CENTRAL_CHARGE)) -> float:
     """Consistency of the first two rows with the any-genus corollary:
 
     (d - c/8 omega)(<th>/p') = (77/1200) S(p)(X_s) <1>   [at c = -22/5]
@@ -232,9 +232,12 @@ def collision_brackets(spectators, xs: complex = 0.0) -> CollisionBrackets:
     spectator reciprocals comes from the collision Laurent expansion.  With
     d_i = X_s - r_i, sigma1 and e2 of the 1/d_i are e_{m-1}(d)/e_m(d) and
     e_{m-2}(d)/e_m(d), so a vanishing e2 comes out as an exact 0 rather
-    than as rounded reciprocals that fail to cancel.
+    than as rounded reciprocals that fail to cancel.  There must be at least
+    one spectator, and none at xs.
     """
     m = len(spectators)
+    if m == 0 or any(r == xs for r in spectators):
+        raise ValueError(f"need at least one spectator and none at xs = {xs}")
     e = _elementary_symmetric([xs - r for r in spectators], m)
     sigma1 = e[m - 1] / e[m]
     e2 = e[m - 2] / e[m] if m >= 2 else 0.0
@@ -295,7 +298,7 @@ class IndicialData:
 
 
 def leading_matrix_5(brackets: CollisionBrackets,
-                     c: float | Fraction = Fraction(-22, 5)) -> IndicialData:
+                     c: float | Fraction = CENTRAL_CHARGE) -> IndicialData:
     """Exact Jordan data of the printed 5x5 collision matrix.
 
     The rows are taken in rationals, at the binary values of the real and
@@ -338,7 +341,7 @@ def det3_residual(ubar: complex, p3_bracket: complex, c: float) -> complex:
     return det - (ubar - 0.7) * (ubar * (ubar - 1.8) - 7.0 * c / 40.0)
 
 
-def third_value_check(c: float = -22.0 / 5.0) -> float:
+def third_value_check(c: float = float(CENTRAL_CHARGE)) -> float:
     """The extra indicial root of the 3-variable leading system.
 
     The leading 3x3 block of the collision matrix has a zero third column
@@ -408,7 +411,7 @@ def euler_monodromy(a_matrix: np.ndarray, radius: float = 0.5) -> np.ndarray:
     return np.linalg.matrix_power(end.reshape(n, n), 24)
 
 
-def monodromy_collision(c: float = -22.0 / 5.0, radius: float = 0.5) -> dict:
+def monodromy_collision(c: float = float(CENTRAL_CHARGE), radius: float = 0.5) -> dict:
     """Collision-loop monodromy of the leading 2x2 system.
 
     Integrates the Euler form around X = X_1 - X_2 = r e^{i phi} and
@@ -462,25 +465,29 @@ def fibonacci_equation_count(n: int) -> int:
 def degeneration_limits(tau1: complex, tau2: complex,
                         eps: float | None = None) -> dict:
     """Documented degeneration-limit constants of the genus-2 partition
-    function: the four character products and the eps^{-1/5} eta-product
-    solution.
+    function: the four character products and the eps^h eta-product
+    solution, h = -1/5 the Kac weight of g0, with eta^{2h} per torus.
 
     These are emitted as reference constants; the exact system is not
     integrated from sewing data because the <theta'>, <theta''>, B~ seeds
-    at the degeneration are not part of the model.
+    at the degeneration are not part of the model.  eps, when given, is a
+    sewing parameter and must be positive and finite.
     """
+    if eps is not None and not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    h = float(KAC_WEIGHTS["g0"])
     p1, p2 = ModularPoint(tau1), ModularPoint(tau2)
     h1, h2 = rr_numeric("h0", p1), rr_numeric("h0", p2)
     g1, g2 = rr_numeric("g0", p1), rr_numeric("g0", p2)
-    eta_prod = eta_numeric(p1) ** (-0.4) * eta_numeric(p2) ** (-0.4)
+    eta_prod = eta_numeric(p1) ** (2 * h) * eta_numeric(p2) ** (2 * h)
     out = {
         "h0h0": h1 * h2,
         "g0g0": g1 * g2,
         "h0g0": h1 * g2,
         "g0h0": g1 * h2,
         "eta_product_m2_5": eta_prod,
-        "eps_power": -0.2,
+        "eps_power": h,
     }
     if eps is not None:
-        out["fifth_solution"] = eps ** (-0.2) * eta_prod
+        out["fifth_solution"] = eps ** h * eta_prod
     return out

@@ -10,6 +10,16 @@ in :mod:`rcftlab.sewing` under one stopping rule, digits = 16 or dps: a theta
 sum stops at a shell past n = 1 below 10^-digits of the sum, an Eisenstein
 sum at a term below 10^-(digits+1) of it.  Float functions guard Im tau >= 0.8.
 
+The shell rule is one helper, _sum_shells: it adds shells n = 0, 1, ...
+until the first past n = 1 whose mass is below tol times the sum, and
+raises past its cap of 600 shells.  The theta kernel, the character sum
+rr_numeric (at digits 16) and sewing's genus-2 direct sum all call it.
+
+The model data live here once, exactly: CENTRAL_CHARGE = -22/5 and the Kac
+weights KAC_WEIGHTS of the two primaries, h0: 0 and g0: -1/5.  The
+character exponents h - c/24, the coefficient of the character equation
+and every default c of the layers above are derived from them.
+
 The mpmath branch of the theta and Eisenstein kernels is memoized: one
 bounded LRU table per kernel, keyed on (i or k, tau, deriv, dps) with tau
 exactly as passed, so every sewing consumer of one modulus reads each value
@@ -42,6 +52,8 @@ import mpmath as mp
 from .series import SeriesError, TruncatedSeries
 
 __all__ = [
+    "CENTRAL_CHARGE",
+    "KAC_WEIGHTS",
     "ModularPoint",
     "CharacterSeries",
     "pochhammer",
@@ -66,6 +78,12 @@ __all__ = [
 
 #: numeric evaluation guard: adaptive sums are only trusted above this
 CONVERGENCE_MIN_IM = 0.8
+
+#: central charge of the (2,5) minimal model
+CENTRAL_CHARGE = Fraction(-22, 5)
+
+#: Kac weights h_{1,1} and h_{1,2} of the (2,5) model, keyed by character
+KAC_WEIGHTS = {"h0": Fraction(0), "g0": Fraction(-1, 5)}
 
 _ZETA_EVEN = {2: math.pi ** 2 / 6, 4: math.pi ** 4 / 90, 6: math.pi ** 6 / 945}
 _EIS_COEF = {2: -24, 4: 240, 6: -504}
@@ -187,9 +205,10 @@ def serre_derivative(f: TruncatedSeries, weight) -> TruncatedSeries:
 # Rogers-Ramanujan characters
 # ----------------------------------------------------------------------
 
-#: per character: the leading exponent h, the linear coefficient l of the
-#: sum-form exponent n^2 + l n, and the residues mod 5 of the product form
-_RR_VARIANTS = {"h0": (Fraction(11, 60), 1, (2, 3)), "g0": (Fraction(-1, 60), 0, (1, 4))}
+#: per character: the leading exponent h - c/24, the linear coefficient l of
+#: the sum-form exponent n^2 + l n, and the residues mod 5 of the product form
+_RR_VARIANTS = {name: (KAC_WEIGHTS[name] - CENTRAL_CHARGE / 24, lin, residues)
+                for name, lin, residues in (("h0", 1, (2, 3)), ("g0", 0, (1, 4)))}
 
 
 def _rr_variant(variant: str) -> tuple:
@@ -247,16 +266,18 @@ def character_ode_residual(variant: str, order: int,
                            f: TruncatedSeries | None = None) -> TruncatedSeries:
     """Residual of the second-order character equation D_2 D_0 f - (11/3600) E4 f.
 
+    The coefficient 11/3600 is -a_h0 a_g0 of the two character exponents.
     With f one of the two characters the residual vanishes to truncation;
     passing an arbitrary series shows the equation is nontrivial.
     """
+    _rr_variant(variant)
     if order < 5:
         raise ValueError("order must be >= 5")
     if f is None:
         f = rogers_ramanujan(variant, order).series
     e4 = eisenstein_series(4, order)
     lhs = serre_derivative(serre_derivative(f, 0), 2)
-    return lhs - Fraction(11, 3600) * (e4 * f)
+    return lhs + _RR_VARIANTS["h0"][0] * _RR_VARIANTS["g0"][0] * (e4 * f)
 
 
 def jacobi_identity_residual(order: int) -> TruncatedSeries:
@@ -294,30 +315,38 @@ def _mp_memo(kernel):
     return call
 
 
+def _sum_shells(shell, tol, cap=None):
+    """Sum of the parts of shell(n) -> (part, mass) over n = 0, 1, ..., up to
+    the first shell past n = 1 whose mass is below tol times the sum.  A sum
+    that has not stopped by shell cap (None: 600) raises."""
+    cap = 600 if cap is None else cap
+    total = 0
+    for n in range(cap + 1):
+        part, mass = shell(n)
+        total += part
+        if n > 1 and mass < tol * max(abs(total), 1e-300):
+            return total
+    raise ValueError(f"shell sum has not converged by shell {cap}")
+
+
 @_mp_memo
 def _theta_sum(i, tau, deriv, dps):
     """theta_i(0 | tau) or its deriv-th tau-derivative: shells m = 0, +-1,
-    ... of e^{2 pi i (e tau + (m+a) b)} (2 pi i e)^deriv, e = (m+a)^2/2."""
+    ... of e^{2 pi i (e tau + (m+a) b)} (2 pi i e)^deriv, e = (m+a)^2/2,
+    each with mass |shell|."""
     ctx = _FLOAT if dps is None else mp.mp
     if i not in (2, 3, 4):
         raise ValueError(f"theta index {i} is not 2, 3 or 4")
     a, b = {2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}[i]
-    tau, exp, pi = ctx.mpmathify(tau), ctx.exp, ctx.pi
-    tol = ctx.mpf(10) ** -(dps or 16)
-    total = 0j
-    n = 0
-    while True:
-        shell = 0j
+    tau, exp, w = ctx.mpmathify(tau), ctx.exp, 2j * ctx.pi
+
+    def shell(n):
+        part = 0j
         for m in ((n,) if n == 0 else (n, -n)):
             e = (m + a) ** 2 / 2.0
-            term = exp(2j * pi * (e * tau + (m + a) * b))
-            shell += (2j * pi * e) ** deriv * term
-        total += shell
-        if n > 1 and abs(shell) < tol * max(abs(total), 1e-300):
-            return total
-        if n > 600:
-            raise ValueError("theta sum did not converge")
-        n += 1
+            part += (w * e) ** deriv * exp(w * (e * tau + (m + a) * b))
+        return part, abs(part)
+    return _sum_shells(shell, ctx.mpf(10) ** -(dps or 16))
 
 
 @_mp_memo
@@ -359,15 +388,12 @@ def theta_numeric(i: int, point: ModularPoint, deriv: int = 0) -> complex:
 def eta_numeric(point: ModularPoint) -> complex:
     point.require_convergent()
     q = point.q
-    out = cmath.exp(2j * cmath.pi * point.tau / 24)
-    n, prod = 1, 1.0 + 0j
-    while True:
+    prod = 1.0 + 0j
+    for n in itertools.count(1):
         t = q ** n
         prod *= (1.0 - t)
         if abs(t) < 1e-18:
-            break
-        n += 1
-    return out * prod
+            return cmath.exp(2j * cmath.pi * point.tau / 24) * prod
 
 
 def eisenstein_numeric(k: int, point: ModularPoint) -> complex:
@@ -385,14 +411,11 @@ def rr_numeric(variant: str, point: ModularPoint) -> complex:
     point.require_convergent()
     q = point.q
     lead = cmath.exp(2j * cmath.pi * float(h) * point.tau)
-    total, poch = 0j, 1.0 + 0j
-    for n in itertools.count():
-        if n > 0:
-            poch *= (1.0 - q ** n)
-        t = q ** (n * n + lin * n) / poch
-        total += t
-        if n > 1 and abs(t) < 1e-17 * abs(total):
-            return lead * total
+
+    def term(n):
+        t = q ** (n * n + lin * n) / math.prod([1.0 - q ** k for k in range(1, n + 1)])
+        return t, abs(t)
+    return lead * _sum_shells(term, 10.0 ** -16)
 
 
 # ----------------------------------------------------------------------
@@ -456,8 +479,7 @@ def b0_expansion_check(order: int = 4) -> dict:
     ratio = th2.pow_int(4) / th3.pow_int(4)
     computed = [ratio.coeff(Fraction(k, 2)) for k in (1, 2, 3, 4)]
     quoted = [16.0, -128.0, 704.0, -1024.0]
-    quoted_series = TruncatedSeries.from_dict(
-        2, {1: 16.0, 2: -128.0, 3: 704.0, 4: -1024.0}, 4)
+    quoted_series = TruncatedSeries.from_dict(2, dict(enumerate(quoted, 1)), 4)
     residual = (ratio - quoted_series).truncated(2)
     return {
         "series": ratio,

@@ -13,13 +13,14 @@ already ~1e-18).  The genus-1 theta and Eisenstein values come from
 qspecial's memoized mpmath kernels, so repeated calls at one modulus pair
 compute each value once.
 
-The direct sum walks square shells max(|n1|, |n2|) = s under the stopping
-rule of the genus-1 theta kernel: it stops at the first shell past s = 1
-whose absolute mass sum |term| is below 10^-dps of the sum.  It reads the
-mass, not the signed shell sum, because a b = 1/2 characteristic makes
-terms of one shell alternate in sign.  The sum needs only a
-positive-definite Im Omega, which ``SewInput`` checks; nu itself may be
-large, and a real nu only moves phases.
+The direct sum walks square shells max(|n1|, |n2|) = s under the genus-1
+theta kernel's stopping rule, which it calls (qspecial._sum_shells) rather
+than copies: the sum stops at the first shell past s = 1 whose absolute
+mass sum |term| is below 10^-dps of the sum.  It reads the mass, not the
+signed shell sum, because a b = 1/2 characteristic makes terms of one
+shell alternate in sign.  The sum needs only a positive-definite Im Omega,
+which ``SewInput`` checks; nu itself may be large, and a real nu only
+moves phases.
 
 The lattice oracle for wp sums the truncated box |m|, |n| <= radius with
 the two-term multipole tail in remainder form.  With W = w^2, Z = z^2, a
@@ -49,7 +50,7 @@ from typing import Callable
 
 import mpmath as mp
 
-from .qspecial import _eisenstein_sum, _half_periods, _theta_sum
+from .qspecial import _eisenstein_sum, _half_periods, _sum_shells, _theta_sum
 from .series import order_fit
 
 __all__ = [
@@ -167,39 +168,35 @@ def siegel_theta_direct(inp: SewInput, a, b, cutoff: int | None = None,
     """Genus-2 theta constant theta[a; b](0, Omega) by direct double sum.
 
     Omega has diagonal (tau1, tau2) and off-diagonal nu.  Square shells
-    max(|n1|, |n2|) = s are added until the first shell past s = 1 whose
-    absolute mass sum |term| is below 10^-dps of the sum, the genus-1
-    kernel's rule.  The mass is read rather than the shell sum because a
-    b = 1/2 characteristic makes the terms of a shell alternate in sign.
-    The sum converges for every positive-definite Im Omega, which
-    ``SewInput`` checks.  ``cutoff`` caps s (None: 600, the genus-1 cap);
-    a sum that has not stopped by then raises.
+    max(|n1|, |n2|) = s are added under the genus-1 kernel's rule,
+    qspecial._sum_shells: until the first shell past s = 1 whose absolute
+    mass sum |term| is below 10^-dps of the sum.  The mass is read rather
+    than the shell sum because a b = 1/2 characteristic makes the terms of
+    a shell alternate in sign.  The sum converges for every
+    positive-definite Im Omega, which ``SewInput`` checks.  ``cutoff`` caps
+    s (None: 600, the genus-1 cap); a sum that has not stopped by then
+    raises.
     """
     if inp.nu is None:
         raise ValueError("direct theta sum needs nu")
-    cap = 600 if cutoff is None else cutoff
     with mp.workdps(dps):
         t1, t2, nu = (mp.mpmathify(x) for x in (inp.tau1, inp.tau2, inp.nu))
         a0, a1, b0, b1 = (mp.mpmathify(x) for x in (*a, *b))
         two_pi_i = 2j * mp.pi
-        tol = mp.mpf(10) ** -dps
-        total = mp.mpc(0)
-        for s in range(cap + 1):
+
+        def shell(s):
             # the perimeter max(|n1|, |n2|) = s, corners once
             side = range(-s, s + 1)
             ring = dict.fromkeys(p for n in (-s, s) for m in side for p in ((n, m), (m, n)))
-            shell, mass = mp.mpc(0), mp.mpf(0)
+            part, mass = mp.mpc(0), mp.mpf(0)
             for n1, n2 in ring:
                 m1, m2 = n1 + a0, n2 + a1
-                ph = t1 * m1 ** 2 / 2 + nu * m1 * m2 + t2 * m2 ** 2 / 2
-                ph += m1 * b0 + m2 * b1
+                ph = (t1 * m1 ** 2 / 2 + nu * m1 * m2 + t2 * m2 ** 2 / 2) + (m1 * b0 + m2 * b1)
                 term = mp.exp(two_pi_i * ph)
-                shell += term
+                part += term
                 mass += abs(term)
-            total += shell
-            if s > 1 and mass < tol * max(abs(total), 1e-300):
-                return total
-        raise ValueError(f"cutoff {cap} too small: the sum has not converged")
+            return part, mass
+        return _sum_shells(shell, mp.mpf(10) ** -dps, cutoff)
 
 
 def _theta_jets(inp: SewInput, pairs, dps: int, nderiv: int = 4) -> dict:

@@ -180,6 +180,16 @@ class TestWeylIntegrals:
         with pytest.raises(ValueError):
             weyl_integrals(0.02, 1.0, c=-22.0 / 5.0)
 
+    @pytest.mark.parametrize("eps, radius", [(-0.5, 1.0), (-2.0, 1.0), (math.nan, 1.0),
+                                             (1e-3, math.inf)])
+    def test_negative_or_nonfinite_rho0_sq_rejected(self, eps, radius):
+        # at eps = -0.5 both returned values; at eps = -2 quad met the pole
+        # of the integrands at t = -1
+        with pytest.raises(ValueError, match="theta_radius"):
+            weyl_integrals(eps, radius, c=-22.0 / 5.0)
+        with pytest.raises(ValueError, match="theta_radius"):
+            gauss_bonnet_outer(eps, radius)
+
     def test_gauss_bonnet_pattern(self):
         out = gauss_bonnet_outer(1e-5, 1.0)
         assert abs(out["numeric"] - out["closed_form"]) < 1e-10

@@ -18,7 +18,6 @@ from rcftlab.contour import (
     verify_k_integrals,
 )
 from rcftlab.curve import (
-    CENTRAL_CHARGE_25,
     CorrelatorParams,
     HyperCurve,
     TwoPointValue,

@@ -224,6 +224,18 @@ def generic_brackets() -> CollisionBrackets:
     return collision_brackets([-1.0, 0.5, 2.0], xs=0.0)
 
 
+class TestCollisionBrackets:
+    def test_no_spectator_rejected(self):
+        # with m = 0, e[m - 1] wrapped to e[-1] and gave p3 = 48
+        with pytest.raises(ValueError, match="spectator"):
+            collision_brackets([])
+
+    def test_spectator_at_xs_rejected(self):
+        # a zero difference divided by zero
+        with pytest.raises(ValueError, match="none at xs"):
+            collision_brackets([-1.0, 0.5 + 0.5j, 2.0], xs=0.5 + 0.5j)
+
+
 class TestLeadingMatrix5:
     def test_bracket_configuration(self):
         br = acceptance_brackets()
@@ -488,3 +500,9 @@ class TestDegenerationLimits:
         assert out["eps_power"] == -0.2
         assert out["fifth_solution"] == pytest.approx(
             0.01 ** -0.2 * out["eta_product_m2_5"], rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [-0.1, 0.0, math.inf, math.nan])
+    def test_eps_not_positive_finite_rejected(self, eps):
+        # eps = -0.1 returned a complex fifth solution, eps = 0 divided by zero
+        with pytest.raises(ValueError, match="eps"):
+            degeneration_limits(1.5j, 1.2j, eps=eps)

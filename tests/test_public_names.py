@@ -1,11 +1,13 @@
 """Every name a layer exports in ``__all__`` exists in that layer and every
 public function and class it defines is exported, no layer imports sympy
-at module level, every layer imports only layers below it, and only
-``HyperCurve`` indexes its roots."""
+at module level, every layer imports only layers below it, only
+``HyperCurve`` indexes its roots, and only ``qspecial`` writes the (2,5)
+model numbers."""
 
 import ast
 import importlib
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +57,44 @@ def test_roots_indexed_only_by_hypercurve(layer):
            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
            and node.value.attr == "roots"]
     assert raw == []
+
+
+#: the (2,5) numbers that only qspecial may write: c = -22/5, the character
+#: exponents h - c/24 = 11/60 and -1/60, and -a_h0 a_g0 = 11/3600
+MODEL_NUMBERS = {float(v) for v in (Fraction(-22, 5), Fraction(11, 60),
+                                    Fraction(-1, 60), Fraction(11, 3600))}
+
+
+def _literal_value(node):
+    """Exact value of a number literal, a negated or divided one, or a
+    Fraction(...) of them; None for anything else."""
+    if (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool)):
+        return Fraction(node.value)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        v = _literal_value(node.operand)
+        return None if v is None else -v
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        a, b = _literal_value(node.left), _literal_value(node.right)
+        return None if a is None or not b else a / b
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction" and node.args and not node.keywords):
+        args = [_literal_value(a) for a in node.args]
+        return None if None in args else Fraction(*args)
+    return None
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_model_numbers_written_only_in_qspecial(layer):
+    # qspecial holds c and the Kac weights once; the character exponents,
+    # the character equation's coefficient and every default c derive from
+    # them, so a typed -22.0 / 5.0 or Fraction(11, 60) elsewhere is a copy
+    lines = [node.lineno for node in ast.walk(_tree(layer))
+             if (v := _literal_value(node)) is not None and float(v) in MODEL_NUMBERS]
+    if layer == "qspecial":
+        assert lines  # the one place they are written
+    else:
+        assert lines == []
 
 
 @pytest.mark.parametrize("layer", LAYERS)

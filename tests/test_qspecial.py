@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from rcftlab.qspecial import (
+    CENTRAL_CHARGE,
+    KAC_WEIGHTS,
     CharacterSeries,
     ModularPoint,
     b0_expansion_check,
@@ -27,7 +29,7 @@ from rcftlab.qspecial import (
     weierstrass_e_values,
     zeta_even,
 )
-from rcftlab.qspecial import _rr_sum_form
+from rcftlab.qspecial import _rr_sum_form, _sum_shells
 from rcftlab.series import TruncatedSeries, coeff_distance
 
 TAU_POINTS = [ModularPoint(1.5j), ModularPoint(0.3 + 1.2j)]
@@ -171,8 +173,9 @@ class TestRogersRamanujan:
         lambda v: rr_numeric(v, ModularPoint(1.2j)),
         lambda v: CharacterSeries(v, TruncatedSeries.constant(1.0, 5)),
         lambda v: character_ode_residual(v, 10),
+        lambda v: character_ode_residual(v, 10, TruncatedSeries.constant(1.0, 10)),
     ], ids=["rogers_ramanujan", "rr_product_form", "_rr_sum_form", "rr_numeric",
-            "CharacterSeries", "character_ode_residual"])
+            "CharacterSeries", "character_ode_residual", "character_ode_residual_f"])
     def test_unknown_variant_rejected(self, call):
         # an unknown name must not fall through to the g0 character
         with pytest.raises(ValueError, match="variant"):
@@ -183,6 +186,62 @@ class TestRogersRamanujan:
         res = character_ode_residual("h0", 30, f=one)
         # residual is -(11/3600) E4, leading coefficient 11/3600 > 1e-3
         assert abs(res.coeff(0)) > 1e-3
+
+
+class TestModelData:
+    """The (2,5) data against the Kac formulas at (p, p') = (2, 5)."""
+
+    P, P_PRIME = 2, 5
+
+    def kac_weight(self, r, s):
+        p, pp = self.P, self.P_PRIME
+        return Fraction((pp * r - p * s) ** 2 - (pp - p) ** 2, 4 * p * pp)
+
+    def exponents(self):
+        return {name: h - CENTRAL_CHARGE / 24 for name, h in KAC_WEIGHTS.items()}
+
+    def test_central_charge(self):
+        p, pp = self.P, self.P_PRIME
+        assert CENTRAL_CHARGE == 1 - Fraction(6 * (pp - p) ** 2, p * pp)
+        assert float(CENTRAL_CHARGE) == -22.0 / 5.0
+
+    def test_kac_weights(self):
+        assert KAC_WEIGHTS == {"h0": self.kac_weight(1, 1), "g0": self.kac_weight(1, 2)}
+
+    def test_exponent_sum_and_product(self):
+        # the second-order modular equation D^2 chi - a_h0 a_g0 E4 chi = 0 has
+        # exponents summing to 1/6 (Mathur-Mukhi-Sen)
+        a = self.exponents()
+        assert a["h0"] + a["g0"] == Fraction(1, 6)
+        assert a["h0"] * a["g0"] == Fraction(-11, 3600)
+
+    @pytest.mark.parametrize("variant", ["h0", "g0"])
+    def test_character_leads_with_derived_exponent(self, variant):
+        series = rogers_ramanujan(variant, 12).series
+        assert series.lead_exponent == self.exponents()[variant]
+        assert series.coeff(series.lead_exponent) == 1
+
+
+class TestShellSum:
+    def test_stops_past_shell_one(self):
+        calls = []
+
+        def shell(n):
+            calls.append(n)
+            return 2.0 ** -n, 0.0
+        assert _sum_shells(shell, 1e-16) == 1.75 and calls == [0, 1, 2]
+
+    def test_raises_at_cap(self):
+        calls = []
+
+        def shell(n):
+            calls.append(n)
+            return 1.0, 1.0
+        with pytest.raises(ValueError, match="shell 5"):
+            _sum_shells(shell, 1e-16, 5)
+        assert calls == list(range(6))
+        with pytest.raises(ValueError, match="shell 600"):
+            _sum_shells(lambda n: (1.0, 1.0), 1e-16)
 
 
 class TestNumericEvaluation:

@@ -11,8 +11,10 @@ The two-point model stores B in the elementary-symmetric monomial basis
 diagonal beta = B(x,x) and the sixth by B11 (the coefficient of x1*x2).
 The one-parameter family B11 -> B11 + t shifts B by -(t/2)(x1 - x2)^2,
 which is why the separately quoted "C (x1-x2)^2" term of the Galois-even
-part is absorbed into B11 here.  Sheets of y = sqrt(p) are tracked by
-explicit sign tags; there are no global branch cuts.
+part is absorbed into B11 here.  Sheets of y = sqrt(p) are taken by
+negating y: HyperCurve.y is the principal square root, and a caller that
+wants the other sheet passes -y (TwoPointValue.total takes y1, y2 as
+given); there are no sheet tags and no global branch cuts.
 
 Each piece of point data has one owner.  <theta>^(k)(x) is
 CorrelatorParams.theta, read from a derivative table that each params
@@ -159,11 +161,9 @@ class HyperCurve:
         """p'(X_s) = a0 prod_{i != s} (X_s - X_i), as an exact product."""
         return self._root_jet(s)[2][1]
 
-    def y(self, x: complex, sheet: int = +1) -> complex:
-        """Principal square root of p(x) with an explicit sheet sign."""
-        if sheet not in (+1, -1):
-            raise ValueError("sheet must be +1 or -1")
-        return sheet * cmath.sqrt(self.p(x))
+    def y(self, x: complex) -> complex:
+        """Principal square root of p(x); the other sheet is -y(x)."""
+        return cmath.sqrt(self.p(x))
 
     def nearest_other_root_distance(self, s: int) -> float:
         return min(map(abs, self._root_jet(s)[0]))
@@ -207,14 +207,12 @@ def omega_s(curve: HyperCurve, s: int) -> complex:
     return curve._root_jet(s)[1][1]
 
 
-def f_pair(curve: HyperCurve, x1: complex, x2: complex,
-           sheet1: int = +1, sheet2: int = +1) -> complex:
-    """f_{12} = ((y1 + y2)/(x1 - x2))^2 with explicit sheet signs."""
+def f_pair(curve: HyperCurve, x1: complex, x2: complex) -> complex:
+    """f_{12} = ((y1 + y2)/(x1 - x2))^2 with yi = curve.y(xi), the principal
+    sheet; another sheet pairing replaces y1 or y2 by its negative."""
     if x1 == x2:
         raise ValueError("f_pair needs distinct arguments")
-    y1 = curve.y(x1, sheet1)
-    y2 = curve.y(x2, sheet2)
-    return ((y1 + y2) / (x1 - x2)) ** 2
+    return ((curve.y(x1) + curve.y(x2)) / (x1 - x2)) ** 2
 
 
 # ----------------------------------------------------------------------
@@ -512,13 +510,13 @@ def assemble_two_point_graphs(curve, params, x1: complex, x2: complex) -> dict:
     (c/32) f^2 Z + (1/4) f (<th1> + <th2>) + <th1 th2>_r for comparison.
     """
     c = params.c
-    # the theorem's f carries sheets; work on the (+, +) sheet throughout
-    f12 = f_pair(curve, x1, x2, +1, +1)
+    # the theorem's f carries sheets; work on the principal (+, +) sheet throughout
+    f12 = f_pair(curve, x1, x2)
     theta_vals = {0: params.theta(x1), 1: params.theta(x2)}
     # residual two-point: the even-part model minus OPE singular content,
     # evaluated off the ramification locus on the (+, +) sheet
     tp = two_point(curve, params, x1, x2)
-    y1, y2 = curve.y(x1, +1), curve.y(x2, +1)
+    y1, y2 = curve.y(x1), curve.y(x2)
     full = tp.total(y1, y2)
     resid2 = full - (c / 32.0) * f12 ** 2 * params.z - 0.25 * f12 * (theta_vals[0] + theta_vals[1])
     total = 0j

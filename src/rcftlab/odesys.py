@@ -224,24 +224,37 @@ class CollisionBrackets:
         return self.p3 ** 2
 
 
-def collision_brackets(spectators, xs: complex = 0.0) -> CollisionBrackets:
+def collision_brackets(spectators) -> CollisionBrackets:
     """Bracket inputs from a collision configuration with the given
-    spectator roots (the collision partner is not among them).
+    spectator roots (the collision partner is not among them), placed
+    relative to the colliding root X_s = 0: the brackets depend only on
+    the differences d_i = X_s - r_i = -r_i.
 
     p3 follows the printed X^{-1} part 48 sigma1; p4 = 24 e2 of the
-    spectator reciprocals comes from the collision Laurent expansion.  With
-    d_i = X_s - r_i, sigma1 and e2 of the 1/d_i are e_{m-1}(d)/e_m(d) and
-    e_{m-2}(d)/e_m(d), so a vanishing e2 comes out as an exact 0 rather
-    than as rounded reciprocals that fail to cancel.  There must be at least
-    one spectator, and none at xs.
+    spectator reciprocals comes from the collision Laurent expansion.
+    sigma1 and e2 of the 1/d_i are e_{m-1}(d)/e_m(d) and e_{m-2}(d)/e_m(d),
+    so a vanishing e2 comes out as an exact 0 rather than as rounded
+    reciprocals that fail to cancel.  The d_i are first divided by lam, the
+    power of two with lam <= max |d_i| < 2 lam, which scales each e_k(d) by
+    lam^-k exactly; sigma1 and e2 are then scaled back by 1/lam and
+    1/lam^2.  So e_m neither underflows to 0 nor overflows at any common
+    scale of the spectators, and the scaling, being exact, changes no bit
+    of a result that the raw product represents.  There must be at least
+    one spectator and none at X_s = 0; a bracket that is still not finite
+    (the |d_i| spread wider than the float range) raises.
     """
-    m = len(spectators)
-    if m == 0 or any(r == xs for r in spectators):
-        raise ValueError(f"need at least one spectator and none at xs = {xs}")
-    e = _elementary_symmetric([xs - r for r in spectators], m)
-    sigma1 = e[m - 1] / e[m]
-    e2 = e[m - 2] / e[m] if m >= 2 else 0.0
-    return CollisionBrackets(48.0 * sigma1, 24.0 * e2)
+    d = [-r for r in spectators]
+    m = len(d)
+    if m == 0 or 0 in d:
+        raise ValueError("need at least one spectator and none at X_s = 0")
+    lam = math.ldexp(1.0, math.frexp(max(map(abs, d)))[1] - 1)
+    e = _elementary_symmetric([v / lam for v in d], m)
+    if e[m]:
+        br = CollisionBrackets(48.0 * (e[m - 1] / e[m]) / lam,
+                               24.0 * (e[m - 2] / e[m]) / lam / lam if m >= 2 else 0.0)
+        if cmath.isfinite(br.p3) and cmath.isfinite(br.p4):
+            return br
+    raise ValueError(f"collision brackets are not finite for spectators {spectators}")
 
 
 def leading_matrix_2(c: float) -> np.ndarray:

@@ -114,13 +114,12 @@ class ModularPoint:
 # q-series
 # ----------------------------------------------------------------------
 
-def pochhammer(order: int, n: int | None = None) -> TruncatedSeries:
-    """(q)_n = prod_{k=1}^n (1 - q^k); n=None gives (q)_inf to the order."""
+def pochhammer(order: int) -> TruncatedSeries:
+    """(q)_inf = prod_{k>=1} (1 - q^k) to the order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    kmax = order if n is None else min(n, order)
     out = TruncatedSeries.constant(1.0, order)
-    for k in range(1, kmax + 1):
+    for k in range(1, order + 1):
         out = out * TruncatedSeries.from_dict(1, {0: 1.0, k: -1.0}, order)
     return out
 
@@ -315,11 +314,10 @@ def _mp_memo(kernel):
     return call
 
 
-def _sum_shells(shell, tol, cap=None):
+def _sum_shells(shell, tol, cap=600):
     """Sum of the parts of shell(n) -> (part, mass) over n = 0, 1, ..., up to
     the first shell past n = 1 whose mass is below tol times the sum.  A sum
-    that has not stopped by shell cap (None: 600) raises."""
-    cap = 600 if cap is None else cap
+    that has not stopped by shell cap raises."""
     total = 0
     for n in range(cap + 1):
         part, mass = shell(n)

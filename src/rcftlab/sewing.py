@@ -6,17 +6,23 @@ ramification points X3, X4, X5 and b0 of the sewn surface, the almost
 global coordinate pair (X, X-hat), and the linear-fractional-image
 expansion check.
 
-All numerics in this module run in mpmath working precision: the
-expansion residuals scale like nu^8 and fall far below double precision
-for the nu grids of interest (at tau = 1.5i the nu = 1e-2 residual is
-already ~1e-18).  The genus-1 theta and Eisenstein values come from
-qspecial's memoized mpmath kernels, so repeated calls at one modulus pair
-compute each value once.
+All numerics in this module run in mpmath at one fixed working
+precision, DPS = 40 digits: every public function computes under
+mp.workdps(DPS), entered by the function or by the qspecial kernel it
+reads, so no result depends on the caller's precision.  Double precision
+is not enough: the expansion residuals scale like nu^8 and fall far below
+it on the nu grids of interest (at tau = 1.5i the nu = 1e-2 residual is
+already ~1e-18).  Forty digits keep the smallest residual on those grids
+(~2e-26 at nu = 1e-3) some 14 decades above rounding, and cover the
+20-30 digit targets of the mpmath oracles planned on top of this layer.
+The genus-1 theta and Eisenstein values come from qspecial's
+memoized mpmath kernels, so repeated calls at one modulus pair compute
+each value once.
 
 The direct sum walks square shells max(|n1|, |n2|) = s under the genus-1
 theta kernel's stopping rule, which it calls (qspecial._sum_shells) rather
 than copies: the sum stops at the first shell past s = 1 whose absolute
-mass sum |term| is below 10^-dps of the sum.  It reads the mass, not the
+mass sum |term| is below 10^-DPS of the sum.  It reads the mass, not the
 signed shell sum, because a b = 1/2 characteristic makes terms of one
 shell alternate in sign.  The sum needs only a positive-definite Im Omega,
 which ``SewInput`` checks; nu itself may be large, and a real nu only
@@ -73,7 +79,8 @@ __all__ = [
     "mode_agreement_orderfit",
 ]
 
-DEFAULT_DPS = 40
+#: the one working precision of the layer, in decimal digits
+DPS = 40
 
 #: zero of E4 on the upper half plane; at this modulus the weight-4 Laurent
 #: data of wp vanishes and the printed eps^6 coordinate corrections are the
@@ -146,14 +153,14 @@ class RamificationSet:
 # genus-1 theta constants and modulus derivatives (qspecial's kernels in mpmath)
 # ----------------------------------------------------------------------
 
-def theta_char_1d(i: int, tau, deriv: int = 0, dps: int = DEFAULT_DPS):
+def theta_char_1d(i: int, tau, deriv: int = 0):
     """theta_i(0 | tau) or its modulus derivative d^k/dtau^k, in mpmath.
 
     Each term q^e picks up (2 pi i e)^k under differentiation.
     """
     if complex(tau).imag <= 0:
         raise ValueError(f"theta needs Im tau > 0, got {complex(tau)}")
-    return _theta_sum(i, tau, deriv, dps)
+    return _theta_sum(i, tau, deriv, DPS)
 
 
 def theta_pair_chars(pair: tuple[int, int]):
@@ -163,23 +170,21 @@ def theta_pair_chars(pair: tuple[int, int]):
         raise ValueError(f"unsupported theta pair {pair}") from None
 
 
-def siegel_theta_direct(inp: SewInput, a, b, cutoff: int | None = None,
-                        dps: int = DEFAULT_DPS):
+def siegel_theta_direct(inp: SewInput, a, b):
     """Genus-2 theta constant theta[a; b](0, Omega) by direct double sum.
 
     Omega has diagonal (tau1, tau2) and off-diagonal nu.  Square shells
     max(|n1|, |n2|) = s are added under the genus-1 kernel's rule,
     qspecial._sum_shells: until the first shell past s = 1 whose absolute
-    mass sum |term| is below 10^-dps of the sum.  The mass is read rather
+    mass sum |term| is below 10^-DPS of the sum.  The mass is read rather
     than the shell sum because a b = 1/2 characteristic makes the terms of
     a shell alternate in sign.  The sum converges for every
-    positive-definite Im Omega, which ``SewInput`` checks.  ``cutoff`` caps
-    s (None: 600, the genus-1 cap); a sum that has not stopped by then
-    raises.
+    positive-definite Im Omega, which ``SewInput`` checks; one that has not
+    stopped by the genus-1 cap s = 600 raises.
     """
     if inp.nu is None:
         raise ValueError("direct theta sum needs nu")
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         t1, t2, nu = (mp.mpmathify(x) for x in (inp.tau1, inp.tau2, inp.nu))
         a0, a1, b0, b1 = (mp.mpmathify(x) for x in (*a, *b))
         two_pi_i = 2j * mp.pi
@@ -196,31 +201,31 @@ def siegel_theta_direct(inp: SewInput, a, b, cutoff: int | None = None,
                 part += term
                 mass += abs(term)
             return part, mass
-        return _sum_shells(shell, mp.mpf(10) ** -dps, cutoff)
+        return _sum_shells(shell, mp.mpf(10) ** -DPS)
 
 
-def _theta_jets(inp: SewInput, pairs, dps: int, nderiv: int = 4) -> dict:
+def _theta_jets(inp: SewInput, pairs, nderiv: int = 4) -> dict:
     """theta_i^(k)(tau1) under key (0, i) and theta_j^(k)(tau2) under (1, j),
     k < nderiv, for every pair (i, j); each value is read once."""
-    return {(side, i): [theta_char_1d(i, tau, k, dps) for k in range(nderiv)]
+    return {(side, i): [theta_char_1d(i, tau, k) for k in range(nderiv)]
             for side, tau in enumerate((inp.tau1, inp.tau2))
             for i in sorted({p[side] for p in pairs})}
 
 
-def _expansion(inp: SewInput, jets: dict, pair, order: int, dps: int):
+def _expansion(inp: SewInput, jets: dict, pair):
+    """Theta_{i,j} through nu^6 from the theta jets of both tori."""
     ti, tj = jets[0, pair[0]], jets[1, pair[1]]
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         nu = mp.mpmathify(inp.nu)
         total = mp.mpf(1)
-        for k in range(1, order // 2 + 1):
+        for k in range(1, 4):
             rk = (ti[k] / ti[0]) * (tj[k] / tj[0])
             total += (2 * nu) ** (2 * k) / mp.factorial(2 * k) * rk
         return ti[0] * tj[0] * total
 
 
-def siegel_theta_expansion(inp: SewInput, pair: tuple[int, int],
-                           order: int = 6, dps: int = DEFAULT_DPS):
-    """Theta_{i,j} by the printed nu-expansion through nu^order (order <= 6).
+def siegel_theta_expansion(inp: SewInput, pair: tuple[int, int]):
+    """Theta_{i,j} by the printed nu-expansion through nu^6.
 
     Theta_{i,j} = theta_i(Omega11) theta_j(Omega22) *
     (1 + sum_k (2 nu)^{2k}/(2k)! * R^{(k)}_{i,j}) with
@@ -229,10 +234,8 @@ def siegel_theta_expansion(inp: SewInput, pair: tuple[int, int],
     """
     if inp.nu is None:
         raise ValueError("expansion mode needs nu")
-    if order > 6:
-        raise ValueError("expansion implemented through nu^6 as printed")
     theta_pair_chars(pair)  # rejects an unsupported pair
-    return _expansion(inp, _theta_jets(inp, [pair], dps), pair, order, dps)
+    return _expansion(inp, _theta_jets(inp, [pair]), pair)
 
 
 # ----------------------------------------------------------------------
@@ -251,21 +254,21 @@ def _ram_from_thetas(th: dict):
     return x3, x4, x5
 
 
-def ramification_points(inp: SewInput, dps: int = DEFAULT_DPS) -> RamificationSet:
+def ramification_points(inp: SewInput) -> RamificationSet:
     """X3, X4, X5 from direct theta sums, cross-checked against expansion
     mode; b0 = theta3^4/theta2^4 at tau1.
 
     nu = 0 is degenerate (all three collapse onto b0) and is flagged.
     """
     degenerate = inp.nu is None or inp.nu == 0
-    with mp.workdps(dps):
-        jets = _theta_jets(inp, _PAIR_CHARS, dps, 1 if degenerate else 4)
+    with mp.workdps(DPS):
+        jets = _theta_jets(inp, _PAIR_CHARS, 1 if degenerate else 4)
         b0 = jets[0, 3][0] ** 4 / jets[0, 2][0] ** 4
         if degenerate:
             b0c = complex(b0)
             return RamificationSet(b0c, b0c, b0c, b0c, 0.0, degenerate=True)
-        direct = {p: siegel_theta_direct(inp, *c, dps=dps) for p, c in _PAIR_CHARS.items()}
-        expans = {p: _expansion(inp, jets, p, 6, dps) for p in _PAIR_CHARS}
+        direct = {p: siegel_theta_direct(inp, *c) for p, c in _PAIR_CHARS.items()}
+        expans = {p: _expansion(inp, jets, p) for p in _PAIR_CHARS}
         xd = _ram_from_thetas(direct)
         xe = _ram_from_thetas(expans)
         agree = max(float(abs(d - e) / abs(d)) for d, e in zip(xd, xe))
@@ -273,20 +276,19 @@ def ramification_points(inp: SewInput, dps: int = DEFAULT_DPS) -> RamificationSe
                                complex(b0), agree)
 
 
-def x3_minus_x4_leading(inp: SewInput, dps: int = DEFAULT_DPS) -> complex:
+def x3_minus_x4_leading(inp: SewInput) -> complex:
     """Predicted leading value of X3 - X4:
     (theta3^4/theta2^4)(O11) nu^2 (pi^2/4) theta4^4(O11) theta2^4(O22)."""
     if inp.nu is None:
         raise ValueError("the X3 - X4 leading value needs nu")
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         nu = mp.mpmathify(inp.nu)
-        _, (t2a, t3a, t4a) = _half_periods(inp.tau1, dps)
-        t2b = _theta_sum(2, inp.tau2, 0, dps) ** 4
+        _, (t2a, t3a, t4a) = _half_periods(inp.tau1, DPS)
+        t2b = _theta_sum(2, inp.tau2, 0, DPS) ** 4
         return complex(t3a / t2a * nu ** 2 * (mp.pi ** 2 / 4) * t4a * t2b)
 
 
-def x3_x5_relative_leading(inp: SewInput, corrected: bool = True,
-                           dps: int = DEFAULT_DPS) -> complex:
+def x3_x5_relative_leading(inp: SewInput, corrected: bool = True) -> complex:
     """Predicted leading value of (X3 - X5)/X5.
 
     ``corrected=False`` returns the quoted form with theta2^4(Omega11);
@@ -295,23 +297,23 @@ def x3_x5_relative_leading(inp: SewInput, corrected: bool = True,
     """
     if inp.nu is None:
         raise ValueError("the (X3 - X5)/X5 leading value needs nu")
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         nu = mp.mpmathify(inp.nu)
-        t3b = theta_char_1d(3, inp.tau2, 0, dps) ** 4
-        ta = theta_char_1d(4 if corrected else 2, inp.tau1, 0, dps) ** 4
+        t3b = theta_char_1d(3, inp.tau2) ** 4
+        ta = theta_char_1d(4 if corrected else 2, inp.tau1) ** 4
         return complex((mp.pi ** 2 / 4) * nu ** 2 * t3b * ta)
 
 
-def mode_agreement_orderfit(tau1, tau2, nus, dps: int = DEFAULT_DPS):
+def mode_agreement_orderfit(tau1, tau2, nus):
     """order_fit of max_{pairs} |direct - expansion| over a decreasing nu grid."""
-    jets = _theta_jets(SewInput(tau1, tau2), _PAIR_CHARS, dps)
+    jets = _theta_jets(SewInput(tau1, tau2), _PAIR_CHARS)
     samples = []
-    for nu in nus:
-        inp = SewInput(tau1, tau2, nu=nu)
-        worst = max(float(abs(siegel_theta_direct(inp, *c, dps=dps)
-                                  - _expansion(inp, jets, p, 6, dps)))
-                    for p, c in _PAIR_CHARS.items())
-        samples.append((float(abs(nu)), worst))
+    with mp.workdps(DPS):
+        for nu in nus:
+            inp = SewInput(tau1, tau2, nu=nu)
+            worst = max(float(abs(siegel_theta_direct(inp, *c) - _expansion(inp, jets, p)))
+                        for p, c in _PAIR_CHARS.items())
+            samples.append((float(abs(nu)), worst))
     return order_fit(samples)
 
 
@@ -319,17 +321,17 @@ def mode_agreement_orderfit(tau1, tau2, nus, dps: int = DEFAULT_DPS):
 # Weierstrass wp for the lattice 2 pi i (Z + tau Z)
 # ----------------------------------------------------------------------
 
-def wp_coeffs(tau, nterms: int = 14, dps: int = DEFAULT_DPS) -> list:
-    """Laurent data of wp: z^2 wp(z) = 1 + sum_m c[m] z^{2m+2}.
+def wp_coeffs(tau) -> list:
+    """Laurent data of wp: z^2 wp(z) = 1 + sum_{m=1}^{14} c[m] z^{2m+2}.
 
     c[1] = E4/240 and c[2] = -E6/6048 for the 2 pi i scaled lattice; the
     rest follow from the standard quadratic recursion.
     """
-    with mp.workdps(dps):
-        c = [mp.mpc(0)] * (nterms + 1)
-        c[1] = _eisenstein_sum(4, tau, dps) / 240
-        c[2] = -_eisenstein_sum(6, tau, dps) / 6048
-        for k in range(3, nterms + 1):
+    with mp.workdps(DPS):
+        c = [mp.mpc(0)] * 15
+        c[1] = _eisenstein_sum(4, tau, DPS) / 240
+        c[2] = -_eisenstein_sum(6, tau, DPS) / 6048
+        for k in range(3, 15):
             acc = mp.mpc(0)
             for m in range(1, k - 1):
                 acc += c[m] * c[k - 1 - m]
@@ -353,26 +355,26 @@ def _min_lattice_norm(tau) -> float:
         u, v = v, u
 
 
-def wp_eval(z, tau, coeffs=None, dps: int = DEFAULT_DPS):
+def wp_eval(z, tau, coeffs=None):
     """wp(z | 2 pi i (Z + tau Z)) by the Laurent series about z = 0.
 
     Valid for |z| below ~0.75 of the shortest lattice vector; raises
     outside that disc (no analytic continuation is attempted).
     """
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         z = mp.mpmathify(z)
         if z == 0:
             raise ValueError("wp has its pole at z = 0")
         if float(abs(z)) > 0.75 * _min_lattice_norm(tau):
             raise ValueError("z outside the convergence disc of the Laurent series")
-        c = coeffs if coeffs is not None else wp_coeffs(tau, dps=dps)
+        c = coeffs if coeffs is not None else wp_coeffs(tau)
         out = 1 / z ** 2
         for m in range(1, len(c)):
             out += c[m] * z ** (2 * m)
         return out
 
 
-def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
+def wp_lattice_oracle(z, tau, radius: int = 40):
     """Independent wp oracle: truncated lattice sum with a two-term
     multipole tail correction.
 
@@ -397,7 +399,7 @@ def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
     remainders added rather than O(1/W) terms cancelled.  z = 0 is the
     pole and raises.
     """
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         z = mp.mpmathify(z)
         if z == 0:
             raise ValueError("wp has its pole at z = 0")
@@ -411,8 +413,8 @@ def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
                 ww = w * w
                 d = ww - zz
                 rem += (7 * ww - 5 * zz) / (ww * ww * ww * d * d)
-        s4 = _eisenstein_sum(4, tau, dps) / 720
-        s6 = -_eisenstein_sum(6, tau, dps) / 30240
+        s4 = _eisenstein_sum(4, tau, DPS) / 720
+        s6 = -_eisenstein_sum(6, tau, DPS) / 30240
         return 1 / zz + 3 * zz * s4 + 5 * zz ** 2 * s6 + 2 * zz ** 3 * rem
 
 
@@ -420,16 +422,16 @@ def wp_lattice_oracle(z, tau, radius: int = 40, dps: int = DEFAULT_DPS):
 # almost global coordinates
 # ----------------------------------------------------------------------
 
-def _coordinate_maps(inp: SewInput, e, dps):
+def _coordinate_maps(inp: SewInput, e):
     """wp Laurent data (c1, c2) of the two tori and the maps x -> X and
     x-hat -> X-hat of the almost-global coordinates,
 
         X = x / (1 + a1 e^4 (x^2 - 2 at1) + a2 e^6 (x^3 - 5 at1 x - 3 at2)),
 
     with a_m = c2[m] from the second torus and at_m = c1[m] from the
-    first; X-hat swaps the tori.  Called at working precision dps."""
-    c1 = wp_coeffs(inp.tau1, dps=dps)
-    c2 = wp_coeffs(inp.tau2, dps=dps)
+    first; X-hat swaps the tori.  Called at working precision DPS."""
+    c1 = wp_coeffs(inp.tau1)
+    c2 = wp_coeffs(inp.tau2)
     e4, e6 = e ** 4, e ** 6
 
     def coord(x, a, at):
@@ -445,7 +447,7 @@ def _check_annulus(z, eps):
                          f"[0.5, 2]*sqrt(eps)")
 
 
-def almost_global_coords(inp: SewInput, z, dps: int = DEFAULT_DPS):
+def almost_global_coords(inp: SewInput, z):
     """The coordinate pair (X, X-hat) at a point z of the sewing annulus.
 
     X = wp(z|tau1) / (1 + a1 e^4 (wp^2 - 2 at1) + a2 e^6 (wp^3 - 5 at1 wp - 3 at2))
@@ -456,18 +458,18 @@ def almost_global_coords(inp: SewInput, z, dps: int = DEFAULT_DPS):
     if eps is None or not (0 < eps <= 0.2):
         raise ValueError("almost-global coordinates need eps real in (0, 0.2]")
     _check_annulus(z, eps)
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         e = mp.mpf(eps)
-        c1, c2, coord, coord_hat = _coordinate_maps(inp, e, dps)
+        c1, c2, coord, coord_hat = _coordinate_maps(inp, e)
         z = mp.mpmathify(z)
-        return (coord(wp_eval(z, inp.tau1, c1, dps)),
-                coord_hat(wp_eval(e / z, inp.tau2, c2, dps)))
+        return (coord(wp_eval(z, inp.tau1, c1)),
+                coord_hat(wp_eval(e / z, inp.tau2, c2)))
 
 
-def coords_residual(inp: SewInput, z, dps: int = DEFAULT_DPS) -> float:
+def coords_residual(inp: SewInput, z) -> float:
     """|eps^2 X X-hat - 1| at a point of the annulus."""
-    X, Xh = almost_global_coords(inp, z, dps)
-    with mp.workdps(dps):
+    X, Xh = almost_global_coords(inp, z)
+    with mp.workdps(DPS):
         return float(abs(mp.mpf(inp.epsilon) ** 2 * X * Xh - 1))
 
 
@@ -475,7 +477,7 @@ def coords_residual(inp: SewInput, z, dps: int = DEFAULT_DPS) -> float:
 # linear fractional image of the far ramification points
 # ----------------------------------------------------------------------
 
-def lft_image_check(inp: SewInput, k_hat: int = 0, dps: int = DEFAULT_DPS) -> dict:
+def lft_image_check(inp: SewInput, k_hat: int = 0) -> dict:
     """Moebius map sending X0, X1, X2 to 0, 1, infinity, applied to
     1/(eps^2 X-hat_k), against the quoted expansion
     (theta3^4/theta2^4)(1 - (theta4^4/4) e^2 Xh - (theta4^4/4) xi2 e^4 Xh^2).
@@ -488,14 +490,14 @@ def lft_image_check(inp: SewInput, k_hat: int = 0, dps: int = DEFAULT_DPS) -> di
         raise ValueError("lft check expects eps in [1e-3, 0.1]")
     if k_hat not in (0, 1, 2):
         raise ValueError(f"k_hat {k_hat} is not a half-period index 0, 1 or 2")
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         e = mp.mpf(eps)
-        _, _, coord, coord_hat = _coordinate_maps(inp, e, dps)
-        (xi0, xi1, xi2), (t2, t3, t4) = _half_periods(inp.tau1, dps)
+        _, _, coord, coord_hat = _coordinate_maps(inp, e)
+        (xi0, xi1, xi2), (t2, t3, t4) = _half_periods(inp.tau1, DPS)
         X0, X1, X2 = coord(xi0), coord(xi1), coord(xi2)
         if max(abs(X0 - X1), abs(X1 - X2), abs(X0 - X2)) < mp.mpf("1e-30"):
             raise ValueError("coincident normalization points")
-        Xh = coord_hat(_half_periods(inp.tau2, dps)[0][k_hat])
+        Xh = coord_hat(_half_periods(inp.tau2, DPS)[0][k_hat])
 
         def moebius(x):
             return (X1 - X2) / (X1 - X0) * (x - X0) / (x - X2)

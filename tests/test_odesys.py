@@ -215,13 +215,13 @@ def acceptance_brackets() -> CollisionBrackets:
     extends to the 5x5).  At p4 = 0 the eigenvalue 7/10 has geometric
     multiplicity 3, not the generic 2; see the rcftlab.odesys module
     docstring for the row relation."""
-    return collision_brackets([-1.0, -0.5, 1.5], xs=0.0)
+    return collision_brackets([-1.0, -0.5, 1.5])
 
 
 def generic_brackets() -> CollisionBrackets:
     """Collision configuration with a nonzero p4 bracket: e2 of the
     spectator reciprocals {1, -2, -1/2} is -3/2, so p4 = -36."""
-    return collision_brackets([-1.0, 0.5, 2.0], xs=0.0)
+    return collision_brackets([-1.0, 0.5, 2.0])
 
 
 class TestCollisionBrackets:
@@ -231,9 +231,25 @@ class TestCollisionBrackets:
             collision_brackets([])
 
     def test_spectator_at_xs_rejected(self):
-        # a zero difference divided by zero
-        with pytest.raises(ValueError, match="none at xs"):
-            collision_brackets([-1.0, 0.5 + 0.5j, 2.0], xs=0.5 + 0.5j)
+        # spectators sit relative to X_s = 0; a zero difference divided by zero
+        with pytest.raises(ValueError, match="none at X_s = 0"):
+            collision_brackets([-1.0, 0j, 2.0])
+
+    @pytest.mark.parametrize("s", [2.0 ** -500, 2.0 ** 500], ids=["tiny", "huge"])
+    def test_scale_covariant_at_extreme_scales(self, s):
+        # e_3 of the differences is 6 s^3, which a raw product underflows
+        # to 0 at s = 2^-500 and overflows to inf at s = 2^500; the
+        # brackets scale like 1/s and 1/s^2, exactly for a power of two
+        unit = collision_brackets([1.0, -2.0, 3.0])
+        assert (unit.p3, unit.p4) == (-40, -8)
+        br = collision_brackets([s, -2.0 * s, 3.0 * s])
+        assert br.p3 == unit.p3 / s
+        assert br.p4 == unit.p4 / s / s
+
+    def test_unrepresentable_spread_rejected(self):
+        # the product of the differences underflows even after scaling
+        with pytest.raises(ValueError, match="not finite"):
+            collision_brackets([1.0, 1e-300, 3e-300])
 
 
 class TestLeadingMatrix5:

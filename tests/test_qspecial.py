@@ -36,10 +36,6 @@ TAU_POINTS = [ModularPoint(1.5j), ModularPoint(0.3 + 1.2j)]
 
 
 class TestPochhammer:
-    def test_finite_n1(self):
-        p = pochhammer(10, n=1)
-        assert p.coeff(0) == 1 and p.coeff(1) == -1 and p.coeff(2) == 0
-
     def test_infinite_pentagonal(self):
         # oracle: direct expansion of prod (1 - q^k); exponents are the
         # generalized pentagonal numbers with signs (-1)^k

@@ -64,12 +64,6 @@ class TestDirectSum:
             prod = theta_char_1d(i, 1.5j) * theta_char_1d(j, 1.2j)
             assert abs(v - prod) < 1e-13 * max(1.0, abs(prod))
 
-    def test_small_cutoff_raises(self):
-        inp = SewInput(0.9j, 0.9j, nu=0.05)
-        a, b = theta_pair_chars((3, 3))
-        with pytest.raises(ValueError):
-            siegel_theta_direct(inp, a, b, cutoff=1)
-
     @pytest.mark.parametrize("im_tau", [1.1, 2.0])
     @pytest.mark.parametrize("nu", [1e-2, 0.8, 0.3 + 0.2j])
     def test_against_fixed_box(self, im_tau, nu):
@@ -329,11 +323,13 @@ class TestLftImage:
         assert out["f_x1"] < 1e-20
 
     def test_deviation_slope_at_least_5(self):
-        samples = []
-        for eps in (0.1, 0.05, 0.025):
-            out = lft_image_check(SewInput(TAU, 0.1 + 1.3j, epsilon=eps))
-            samples.append((eps, out["deviation"]))
-        assert order_fit(samples).slope >= 5.0
+        # every half period of the second torus, not only xi0 (k_hat = 0)
+        for k_hat in (0, 1, 2):
+            samples = []
+            for eps in (0.1, 0.05, 0.025):
+                out = lft_image_check(SewInput(TAU, 0.1 + 1.3j, epsilon=eps), k_hat)
+                samples.append((eps, out["deviation"]))
+            assert order_fit(samples).slope >= 5.0, k_hat
 
     def test_eps2_coefficient(self):
         # finite difference in eps^2 of the exact image reproduces
@@ -350,3 +346,35 @@ class TestLftImage:
         # -1 must not wrap to xi2, nor 3 surface as an IndexError
         with pytest.raises(ValueError, match="k_hat"):
             lft_image_check(SewInput(TAU, 0.1 + 1.3j, epsilon=0.05), k_hat=k_hat)
+
+
+_NU_INP = SewInput(TAU, 0.1 + 1.3j, nu=0.01)
+_EPS_INP = SewInput(TAU, 0.1 + 1.3j, epsilon=0.05)
+_Z = math.sqrt(0.05) * complex(math.cos(0.37), math.sin(0.37))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: theta_char_1d(3, TAU),
+    lambda: siegel_theta_direct(_NU_INP, (0.5, 0.0), (0.0, 0.5)),
+    lambda: siegel_theta_expansion(_NU_INP, (2, 4)),
+    lambda: ramification_points(_NU_INP),
+    lambda: x3_minus_x4_leading(_NU_INP),
+    lambda: x3_x5_relative_leading(_NU_INP),
+    lambda: mode_agreement_orderfit(TAU, 0.1 + 1.3j, (1e-2, 5e-3, 2e-3)),
+    lambda: wp_coeffs(TAU),
+    lambda: wp_eval(0.8 + 0.5j, TAU),
+    lambda: wp_lattice_oracle(0.8 + 0.5j, TAU),
+    lambda: almost_global_coords(_EPS_INP, _Z),
+    lambda: coords_residual(_EPS_INP, _Z),
+    lambda: lft_image_check(_EPS_INP),
+], ids=["theta_char_1d", "siegel_theta_direct", "siegel_theta_expansion",
+        "ramification_points", "x3_minus_x4_leading", "x3_x5_relative_leading",
+        "mode_agreement_orderfit", "wp_coeffs", "wp_eval", "wp_lattice_oracle",
+        "almost_global_coords", "coords_residual", "lft_image_check"])
+def test_result_independent_of_caller_precision(call):
+    # the layer works at sewing.DPS whatever the caller's mp.dps
+    with mp.workdps(15):
+        low = call()
+    with mp.workdps(80):
+        high = call()
+    assert low == high

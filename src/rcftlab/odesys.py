@@ -3,7 +3,7 @@
 The exact genus-2 (n = 5) system for (<1>, <theta>, <theta'>, <theta''>,
 B~) under motion of one ramification point, the leading-order collision
 systems with their Frobenius/indicial analysis, numeric path integration
-and monodromy, the Fibonacci equation count, and twist-exponent
+and monodromy, the Fibonacci count of admissible chains, and twist-exponent
 arithmetic.
 
 Loop monodromy of an Euler system w' = (A/X) w with constant A is taken
@@ -470,8 +470,15 @@ def admissible_chains(n: int) -> list[tuple[int, ...]]:
 
 
 def fibonacci_equation_count(n: int) -> int:
-    """Number of equations needed at degree n; equals the Fibonacci number
-    F_n with F_1 = F_2 = 1."""
+    """Number of admissible chains at degree n (see admissible_chains); it
+    equals the Fibonacci number F_n with F_1 = F_2 = 1.
+
+    Flagged: the source reads this as the number of equations needed at
+    degree n, which is not checked here.  At n = 2g + 1 it gives 2, 5, 13,
+    34, 89 for g = 1..5, while the genus-g (2,5) Verlinde count
+    D^(2g-2) (1 + d^(2-2g)), d = (1 - sqrt 5)/2 and D^2 = 1 + d^2, gives
+    2, 5, 15, 50, 175: the two agree only up to genus 2.
+    """
     return len(admissible_chains(n))
 
 

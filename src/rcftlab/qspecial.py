@@ -1,14 +1,20 @@
 """Modular and elliptic special functions in the conventions used here.
 
-q-Pochhammer, Dedekind eta, Jacobi theta constants, Eisenstein series with
-the zeta-normalized companions G_k = zeta(k) E_k, the Serre derivative,
-the two (2,5)-model characters, and Weierstrass half-period values.
+q-Pochhammer, Dedekind eta, Jacobi theta constants, Eisenstein series,
+the Serre derivative, the two (2,5)-model characters, and Weierstrass
+half-period values.
 
 Series are exact-order objects from :mod:`rcftlab.series`.  One kernel per
 object (theta, Eisenstein, half periods) serves complex128 here and mpmath
 in :mod:`rcftlab.sewing` under one stopping rule, digits = 16 or dps: a theta
 sum stops at a shell past n = 1 below 10^-digits of the sum, an Eisenstein
-sum at a term below 10^-(digits+1) of it.  Float functions guard Im tau >= 0.8.
+sum at a term below 10^-(digits+1) of it.
+
+The float guard has one owner, ModularPoint: it rejects a tau that is not
+finite or has Im tau below CONVERGENCE_MIN_IM = 0.8, so every float
+function, which takes a ModularPoint, runs only where its sums are trusted.
+_half_periods returns the three half-period values only; a caller that
+needs the theta fourth powers reads them from the theta kernel.
 
 The shell rule is one helper, _sum_shells: it adds shells n = 0, 1, ...
 until the first past n = 1 whose mass is below tol times the sum, and
@@ -49,7 +55,7 @@ from types import SimpleNamespace
 
 import mpmath as mp
 
-from .series import SeriesError, TruncatedSeries
+from .series import TruncatedSeries
 
 __all__ = [
     "CENTRAL_CHARGE",
@@ -60,7 +66,6 @@ __all__ = [
     "eta_series",
     "theta_constants",
     "eisenstein_series",
-    "zeta_even",
     "serre_derivative",
     "rogers_ramanujan",
     "rr_product_form",
@@ -85,29 +90,24 @@ CENTRAL_CHARGE = Fraction(-22, 5)
 #: Kac weights h_{1,1} and h_{1,2} of the (2,5) model, keyed by character
 KAC_WEIGHTS = {"h0": Fraction(0), "g0": Fraction(-1, 5)}
 
-_ZETA_EVEN = {2: math.pi ** 2 / 6, 4: math.pi ** 4 / 90, 6: math.pi ** 6 / 945}
 _EIS_COEF = {2: -24, 4: 240, 6: -504}
 
 
 @dataclass(frozen=True)
 class ModularPoint:
-    """A point tau in the upper half plane with nome q = e^{2 pi i tau}."""
+    """A point tau with nome q = e^{2 pi i tau}, finite and with Im tau at
+    least CONVERGENCE_MIN_IM, where the float sums are trusted."""
 
     tau: complex
 
     def __post_init__(self):
-        if self.tau.imag <= 0:
-            raise ValueError(f"tau must have positive imaginary part, got {self.tau}")
+        if not (cmath.isfinite(self.tau) and self.tau.imag >= CONVERGENCE_MIN_IM):
+            raise ValueError(f"tau must be finite with Im tau >= {CONVERGENCE_MIN_IM}, "
+                             f"got {self.tau}")
 
     @property
     def q(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.tau)
-
-    def require_convergent(self):
-        if self.tau.imag < CONVERGENCE_MIN_IM:
-            raise ValueError(
-                f"Im tau = {self.tau.imag} below convergence guard {CONVERGENCE_MIN_IM}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -153,17 +153,10 @@ def theta_constants(order: int) -> tuple[TruncatedSeries, TruncatedSeries, Trunc
     return th2, th3, th4
 
 
-def zeta_even(k: int) -> float:
-    try:
-        return _ZETA_EVEN[k]
-    except KeyError:
-        raise ValueError(f"unsupported Eisenstein weight {k}") from None
-
-
 def eisenstein_series(k: int, order: int) -> TruncatedSeries:
     """E_k(q) = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n for k in {2, 4, 6}.
 
-    The zeta-normalized G_k equals zeta_even(k) * E_k.
+    The zeta-normalized G_k equals zeta(k) E_k.
     """
     if k not in _EIS_COEF:
         raise ValueError(f"unsupported Eisenstein weight {k}")
@@ -371,20 +364,18 @@ def _eisenstein_sum(k, tau, dps):
 
 
 def _half_periods(tau, dps):
-    """(xi0, xi1, xi2) and (theta2^4, theta3^4, theta4^4); see weierstrass_e_values.
-    With dps set, the caller is already at that working precision."""
+    """(xi0, xi1, xi2); see weierstrass_e_values.  With dps set, the caller
+    is already at that working precision."""
     t2, t3, t4 = (_theta_sum(i, tau, 0, dps) ** 4 for i in (2, 3, 4))
-    return ((t4 - t2) / 12.0, (t2 + t3) / 12.0, (-t3 - t4) / 12.0), (t2, t3, t4)
+    return (t4 - t2) / 12.0, (t2 + t3) / 12.0, (-t3 - t4) / 12.0
 
 
 def theta_numeric(i: int, point: ModularPoint, deriv: int = 0) -> complex:
     """theta_i(0 | tau), or its deriv-th derivative with respect to tau."""
-    point.require_convergent()
     return _theta_sum(i, point.tau, deriv, None)
 
 
 def eta_numeric(point: ModularPoint) -> complex:
-    point.require_convergent()
     q = point.q
     prod = 1.0 + 0j
     for n in itertools.count(1):
@@ -395,7 +386,6 @@ def eta_numeric(point: ModularPoint) -> complex:
 
 
 def eisenstein_numeric(k: int, point: ModularPoint) -> complex:
-    point.require_convergent()
     if k not in _EIS_COEF:
         raise ValueError(f"unsupported Eisenstein weight {k}")
     return _eisenstein_sum(k, point.tau, None)
@@ -406,7 +396,6 @@ def rr_numeric(variant: str, point: ModularPoint) -> complex:
     e^(2 pi i h tau), h = 11/60 or -1/60, not a branch of q^h, so that
     chi(tau + 1) = e^(2 pi i h) chi(tau)."""
     h, lin, _ = _rr_variant(variant)
-    point.require_convergent()
     q = point.q
     lead = cmath.exp(2j * cmath.pi * float(h) * point.tau)
 
@@ -427,8 +416,7 @@ def weierstrass_e_values(point: ModularPoint) -> tuple[complex, complex, complex
     xi1 = (theta2^4 + theta3^4)/12, xi0 = (-theta2^4 + theta4^4)/12,
     xi2 = -(theta3^4 + theta4^4)/12; they sum to zero.
     """
-    point.require_convergent()
-    return _half_periods(point.tau, None)[0]
+    return _half_periods(point.tau, None)
 
 
 def e_cubic_residual(point: ModularPoint) -> float:

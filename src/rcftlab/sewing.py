@@ -15,9 +15,12 @@ it on the nu grids of interest (at tau = 1.5i the nu = 1e-2 residual is
 already ~1e-18).  Forty digits keep the smallest residual on those grids
 (~2e-26 at nu = 1e-3) some 14 decades above rounding, and cover the
 20-30 digit targets of the mpmath oracles planned on top of this layer.
-The genus-1 theta and Eisenstein values come from qspecial's
-memoized mpmath kernels, so repeated calls at one modulus pair compute
-each value once.
+Genus-1 values are read only through three accessors of qspecial's
+memoized mpmath kernels: theta_char_1d for every theta and theta
+derivative, qspecial._half_periods for the half-period values and
+qspecial._eisenstein_sum for E4 and E6.  The layer keeps no table of its
+own; repeated calls at one modulus pair compute each value once, in the
+memo.
 
 The direct sum walks square shells max(|n1|, |n2|) = s under the genus-1
 theta kernel's stopping rule, which it calls (qspecial._sum_shells) rather
@@ -50,9 +53,9 @@ Two source displays are handled as flagged, not corrected:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import mpmath as mp
 
@@ -109,6 +112,9 @@ class SewInput:
     epsilon: float | None = None
 
     def __post_init__(self):
+        fields = (self.tau1, self.tau2, self.nu, self.epsilon)
+        if not all(cmath.isfinite(x) for x in fields if x is not None):
+            raise ValueError(f"tau1, tau2, nu and epsilon must be finite, got {fields}")
         t1, t2 = complex(self.tau1).imag, complex(self.tau2).imag
         if t1 <= 0 or t2 <= 0:
             raise ValueError("both moduli need positive imaginary part")
@@ -204,38 +210,27 @@ def siegel_theta_direct(inp: SewInput, a, b):
         return _sum_shells(shell, mp.mpf(10) ** -DPS)
 
 
-def _theta_jets(inp: SewInput, pairs, nderiv: int = 4) -> dict:
-    """theta_i^(k)(tau1) under key (0, i) and theta_j^(k)(tau2) under (1, j),
-    k < nderiv, for every pair (i, j); each value is read once."""
-    return {(side, i): [theta_char_1d(i, tau, k) for k in range(nderiv)]
-            for side, tau in enumerate((inp.tau1, inp.tau2))
-            for i in sorted({p[side] for p in pairs})}
-
-
-def _expansion(inp: SewInput, jets: dict, pair):
-    """Theta_{i,j} through nu^6 from the theta jets of both tori."""
-    ti, tj = jets[0, pair[0]], jets[1, pair[1]]
-    with mp.workdps(DPS):
-        nu = mp.mpmathify(inp.nu)
-        total = mp.mpf(1)
-        for k in range(1, 4):
-            rk = (ti[k] / ti[0]) * (tj[k] / tj[0])
-            total += (2 * nu) ** (2 * k) / mp.factorial(2 * k) * rk
-        return ti[0] * tj[0] * total
-
-
 def siegel_theta_expansion(inp: SewInput, pair: tuple[int, int]):
     """Theta_{i,j} by the printed nu-expansion through nu^6.
 
     Theta_{i,j} = theta_i(Omega11) theta_j(Omega22) *
     (1 + sum_k (2 nu)^{2k}/(2k)! * R^{(k)}_{i,j}) with
     R^{(k)} the product of k-th modulus log-derivative ratios; no
-    resummation beyond the printed orders.
+    resummation beyond the printed orders.  The theta jets are read
+    through theta_char_1d.
     """
     if inp.nu is None:
         raise ValueError("expansion mode needs nu")
     theta_pair_chars(pair)  # rejects an unsupported pair
-    return _expansion(inp, _theta_jets(inp, [pair]), pair)
+    with mp.workdps(DPS):
+        ti, tj = ([theta_char_1d(i, tau, k) for k in range(4)]
+                  for i, tau in zip(pair, (inp.tau1, inp.tau2)))
+        nu = mp.mpmathify(inp.nu)
+        total = mp.mpf(1)
+        for k in range(1, 4):
+            rk = (ti[k] / ti[0]) * (tj[k] / tj[0])
+            total += (2 * nu) ** (2 * k) / mp.factorial(2 * k) * rk
+        return ti[0] * tj[0] * total
 
 
 # ----------------------------------------------------------------------
@@ -262,13 +257,12 @@ def ramification_points(inp: SewInput) -> RamificationSet:
     """
     degenerate = inp.nu is None or inp.nu == 0
     with mp.workdps(DPS):
-        jets = _theta_jets(inp, _PAIR_CHARS, 1 if degenerate else 4)
-        b0 = jets[0, 3][0] ** 4 / jets[0, 2][0] ** 4
+        b0 = theta_char_1d(3, inp.tau1) ** 4 / theta_char_1d(2, inp.tau1) ** 4
         if degenerate:
             b0c = complex(b0)
             return RamificationSet(b0c, b0c, b0c, b0c, 0.0, degenerate=True)
         direct = {p: siegel_theta_direct(inp, *c) for p, c in _PAIR_CHARS.items()}
-        expans = {p: _expansion(inp, jets, p) for p in _PAIR_CHARS}
+        expans = {p: siegel_theta_expansion(inp, p) for p in _PAIR_CHARS}
         xd = _ram_from_thetas(direct)
         xe = _ram_from_thetas(expans)
         agree = max(float(abs(d - e) / abs(d)) for d, e in zip(xd, xe))
@@ -283,8 +277,8 @@ def x3_minus_x4_leading(inp: SewInput) -> complex:
         raise ValueError("the X3 - X4 leading value needs nu")
     with mp.workdps(DPS):
         nu = mp.mpmathify(inp.nu)
-        _, (t2a, t3a, t4a) = _half_periods(inp.tau1, DPS)
-        t2b = _theta_sum(2, inp.tau2, 0, DPS) ** 4
+        t2a, t3a, t4a = (theta_char_1d(i, inp.tau1) ** 4 for i in (2, 3, 4))
+        t2b = theta_char_1d(2, inp.tau2) ** 4
         return complex(t3a / t2a * nu ** 2 * (mp.pi ** 2 / 4) * t4a * t2b)
 
 
@@ -306,12 +300,11 @@ def x3_x5_relative_leading(inp: SewInput, corrected: bool = True) -> complex:
 
 def mode_agreement_orderfit(tau1, tau2, nus):
     """order_fit of max_{pairs} |direct - expansion| over a decreasing nu grid."""
-    jets = _theta_jets(SewInput(tau1, tau2), _PAIR_CHARS)
     samples = []
     with mp.workdps(DPS):
         for nu in nus:
             inp = SewInput(tau1, tau2, nu=nu)
-            worst = max(float(abs(siegel_theta_direct(inp, *c) - _expansion(inp, jets, p)))
+            worst = max(float(abs(siegel_theta_direct(inp, *c) - siegel_theta_expansion(inp, p)))
                         for p, c in _PAIR_CHARS.items())
             samples.append((float(abs(nu)), worst))
     return order_fit(samples)
@@ -493,11 +486,12 @@ def lft_image_check(inp: SewInput, k_hat: int = 0) -> dict:
     with mp.workdps(DPS):
         e = mp.mpf(eps)
         _, _, coord, coord_hat = _coordinate_maps(inp, e)
-        (xi0, xi1, xi2), (t2, t3, t4) = _half_periods(inp.tau1, DPS)
+        xi0, xi1, xi2 = _half_periods(inp.tau1, DPS)
+        t2, t3, t4 = (theta_char_1d(i, inp.tau1) ** 4 for i in (2, 3, 4))
         X0, X1, X2 = coord(xi0), coord(xi1), coord(xi2)
         if max(abs(X0 - X1), abs(X1 - X2), abs(X0 - X2)) < mp.mpf("1e-30"):
             raise ValueError("coincident normalization points")
-        Xh = coord_hat(_half_periods(inp.tau2, DPS)[0][k_hat])
+        Xh = coord_hat(_half_periods(inp.tau2, DPS)[k_hat])
 
         def moebius(x):
             return (X1 - X2) / (X1 - X0) * (x - X0) / (x - X2)

@@ -505,6 +505,17 @@ class TestFibonacci:
         for n in range(3, 21):
             assert f[n] == f[n - 1] + f[n - 2]
 
+    def test_flagged_against_verlinde_count(self):
+        # pins both sequences and fixes neither: the genus-g (2,5) Verlinde
+        # count D^(2g-2) (1 + d^(2-2g)) and the chain count F_(2g+1) agree
+        # only up to genus 2
+        d = (1 - math.sqrt(5)) / 2
+        dd = 1 + d * d  # D^2
+        verlinde = [dd ** (g - 1) * (1 + d ** (2 - 2 * g)) for g in range(1, 6)]
+        assert verlinde == pytest.approx([2, 5, 15, 50, 175], rel=1e-12)
+        chains = [fibonacci_equation_count(2 * g + 1) for g in range(1, 6)]
+        assert chains == [2, 5, 13, 34, 89]
+
 
 class TestDegenerationLimits:
     def test_products(self):

@@ -1,8 +1,8 @@
 """Every name a layer exports in ``__all__`` exists in that layer and every
-public function and class it defines is exported, no layer imports sympy
-at module level, every layer imports only layers below it, only
-``HyperCurve`` indexes its roots, and only ``qspecial`` writes the (2,5)
-model numbers."""
+public function and class it defines is exported, every name a layer
+imports is read in it, no layer imports sympy at module level, every layer
+imports only layers below it, only ``HyperCurve`` indexes its roots, and
+only ``qspecial`` writes the (2,5) model numbers."""
 
 import ast
 import importlib
@@ -44,6 +44,22 @@ def test_public_definitions_exported(layer):
                and not node.name.startswith("_")]
     exported = importlib.import_module(f"rcftlab.{layer}").__all__
     assert sorted(set(defined) - set(exported)) == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_imported_names_are_read(layer):
+    # no linter runs on the layers, so an import that nothing reads is
+    # caught here; a from __future__ import is a compiler directive, not a
+    # name to read
+    tree = _tree(layer)
+    imported = {(a.asname or a.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []
 
 
 @pytest.mark.parametrize("layer", LAYERS)

@@ -1,6 +1,7 @@
 """Tests for the modular/elliptic special functions."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,6 @@ from rcftlab.qspecial import (
     theta_constants,
     theta_numeric,
     weierstrass_e_values,
-    zeta_even,
 )
 from rcftlab.qspecial import _rr_sum_form, _sum_shells
 from rcftlab.series import TruncatedSeries, coeff_distance
@@ -94,10 +94,6 @@ class TestEisenstein:
 
     def test_e4_constant(self):
         assert eisenstein_series(4, 4).coeff(0) == 1
-
-    def test_g4_over_e4(self):
-        import math
-        assert zeta_even(4) == pytest.approx(math.pi ** 4 / 90, rel=1e-15)
 
     def test_unsupported_weight(self):
         with pytest.raises(ValueError):
@@ -259,6 +255,15 @@ class TestNumericEvaluation:
     def test_guard(self):
         with pytest.raises(ValueError):
             theta_numeric(3, ModularPoint(0.5j))
+
+    @pytest.mark.parametrize("tau", [complex("nan+1j"), complex("inf+1j"),
+                                     complex(0.3, math.inf), complex(0.3, math.nan),
+                                     0.79j, 0.3 + 0.5j])
+    def test_point_rejected_at_construction(self, tau):
+        # ModularPoint holds the one float guard: a non-finite tau passed a
+        # bare Im tau > 0 check, and eta_numeric then never returned
+        with pytest.raises(ValueError, match="tau"):
+            ModularPoint(tau)
 
     def test_rr_numeric_vs_series(self):
         pt = ModularPoint(1.3j)

@@ -1,10 +1,13 @@
 """Tests for the genus-2 sewing construction."""
 
+import ast
+import inspect
 import math
 
 import mpmath as mp
 import pytest
 
+from rcftlab import sewing
 from rcftlab.series import order_fit
 from rcftlab.sewing import (
     EQUIANHARMONIC_TAU,
@@ -38,6 +41,27 @@ def test_sew_input_rejects_indefinite_im_omega():
     with pytest.raises(ValueError, match="positive definite"):
         SewInput(1.5j, 1.5j, nu=1.5j)  # determinant 0
     SewInput(1.5j, 1.5j, nu=0.3 + 1.4j)  # determinant 0.29 > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["tau1", "tau2", "nu", "epsilon"])
+def test_sew_input_rejects_non_finite(name, bad):
+    # a NaN tau1 passed the Im checks, and the direct sum then walked all
+    # 600 shells before it raised
+    fields = {"tau1": 1.5j, "tau2": 1.5j, "nu": 0.01, "epsilon": 0.01}
+    fields[name] = bad if name == "epsilon" else complex(bad, fields[name].imag)
+    with pytest.raises(ValueError, match="finite"):
+        SewInput(**fields)
+
+
+def test_theta_kernel_read_only_through_theta_char_1d():
+    # the layer keeps no theta table of its own: every theta and theta
+    # derivative comes through the one accessor, and so through the memo
+    tree = ast.parse(inspect.getsource(sewing))
+    readers = [top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+               and any(isinstance(node, ast.Name) and node.id == "_theta_sum"
+                       for node in ast.walk(top))]
+    assert readers == ["theta_char_1d"]
 
 
 class TestDirectSum:
